@@ -5,26 +5,32 @@ by one point per line as an n-character binary string whose leftmost
 character is coordinate 1 (bit 0).  Rendered files list points in
 ascending integer order with LF endings; duplicate lines are rejected.
 
-Exit codes: 0 success, 1 claim failure, 2 usage error, 3 parse error.
+Exit codes: 0 success, 1 claim failure or failed internal check, 2 usage
+error, 3 parse error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 from .capset import Cap, find_quad, is_cap, is_complete, quad_closure_1
-from .classifier import ClassTable, classify, verify_paper
+from .classifier import (
+    _CENSUS_LIMIT,
+    _MAX_CLASSIFY_DIM,
+    _MAX_CLASSIFY_SIZE,
+    ClassTable,
+    _map_payload,
+    classify,
+    verify_paper,
+)
 from .decomp import type_census
 from .equivalence import are_equivalent, find_isomorphism
-from .errors import CapError, CapFileError, UnknownLabelError
-from .gf2 import Point, PointSet, affine_dim
+from .errors import CapError, CapFileError, InvariantError, UnknownLabelError
+from .gf2 import MAX_DIM, Point, PointSet, affine_dim
 from .templates import LABELS, instantiate
-
-_CENSUS_LIMIT = 13
 
 
 def render_capfile(s: PointSet) -> str:
@@ -44,8 +50,8 @@ def parse_capfile(text: str) -> PointSet:
         n = int(header[len("capfile v1 n="):])
     except ValueError:
         raise CapFileError(f"bad dimension in header {header!r}") from None
-    if not 1 <= n <= 16:
-        raise CapFileError(f"dimension {n} out of range 1..16")
+    if not 1 <= n <= MAX_DIM:
+        raise CapFileError(f"dimension {n} out of range 1..{MAX_DIM}")
     masks = []
     for line in lines[1:]:
         if len(line) != n or any(c not in "01" for c in line):
@@ -83,13 +89,6 @@ def _check_payload(s: PointSet) -> dict:
     return payload
 
 
-def _map_payload(t) -> dict:
-    return {
-        "matrix": [Point(row, t.n).to_bits() for row in t.rows],
-        "translation": Point(t.translation, t.n).to_bits(),
-    }
-
-
 def _table_payload(table: ClassTable) -> dict:
     sizes = {}
     for size in sorted(table.rows):
@@ -111,15 +110,11 @@ def _table_payload(table: ClassTable) -> dict:
     }
 
 
-def _worker_count() -> int | None:
-    raw = os.environ.get("CAPCLASS_THREADS")
-    if raw is None:
-        return os.cpu_count()
-    try:
-        count = int(raw)
-    except ValueError:
-        return os.cpu_count()
-    return max(1, count)
+def _trial_count(text: str) -> int:
+    count = int(text)
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {count}")
+    return count
 
 
 def _cmd_template(args: argparse.Namespace) -> int:
@@ -161,7 +156,7 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    table = classify(args.dim, args.max_size, threads=_worker_count())
+    table = classify(args.dim, args.max_size)
     print(json.dumps(_table_payload(table), indent=2, sort_keys=True))
     if args.out is not None:
         out = Path(args.out)
@@ -177,7 +172,6 @@ def _cmd_verify_paper(args: argparse.Namespace) -> int:
     report = verify_paper(
         invariance_trials=args.fuzz_trials,
         exchange_trials=args.exchange_trials,
-        threads=_worker_count(),
     )
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -215,15 +209,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_equiv)
 
     p = sub.add_parser("classify", help="classify caps by size up to affine equivalence")
-    p.add_argument("dim", type=int)
-    p.add_argument("max_size", type=int)
+    p.add_argument("dim", type=int, choices=range(1, _MAX_CLASSIFY_DIM + 1), metavar="dim",
+                   help=f"ambient dimension, 1..{_MAX_CLASSIFY_DIM}")
+    p.add_argument("max_size", type=int, choices=range(1, _MAX_CLASSIFY_SIZE + 1), metavar="max_size",
+                   help=f"largest cap size to classify, 1..{_MAX_CLASSIFY_SIZE}")
     p.add_argument("--out", help="directory for one cap file per representative")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("verify-paper", help="re-derive and check the full classification")
     p.add_argument("--json", action="store_true", help="emit the machine-readable report")
-    p.add_argument("--fuzz-trials", type=int, default=1000, help="random maps per template")
-    p.add_argument("--exchange-trials", type=int, default=10000, help="random basis exchanges")
+    p.add_argument("--fuzz-trials", type=_trial_count, default=1000, help="random maps per template")
+    p.add_argument("--exchange-trials", type=_trial_count, default=10000, help="random basis exchanges")
     p.set_defaults(func=_cmd_verify_paper)
     return parser
 
@@ -239,6 +235,9 @@ def main(argv: list[str] | None = None) -> int:
     except UnknownLabelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 1
     except CapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -19,6 +19,7 @@ from .errors import (
     BadIndexError,
     ExchangeHypothesisViolated,
     InvalidBasisError,
+    InvariantError,
     TooLargeError,
 )
 from .gf2 import (
@@ -28,6 +29,7 @@ from .gf2 import (
     _affine_rank,
     _solve_support,
     _support_solver,
+    extract_basis,
 )
 
 _TYPE_CACHE: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[tuple[int, ...], tuple[int, ...]]] = {}
@@ -64,7 +66,8 @@ def _canonical_type(sizes: tuple[int, ...], pairs: tuple[int, ...]) -> tuple[tup
         cand = (s, tuple(q))
         if best is None or cand < best:
             best = cand
-    assert best is not None
+    if best is None:
+        raise InvariantError(f"no dependent order keeps the sizes {sizes} non-increasing")
     _TYPE_CACHE[key] = best
     return best
 
@@ -164,8 +167,6 @@ def decompose(source: Cap | PointSet, basis: Sequence[Point] | None = None) -> B
     pts = source.points if isinstance(source, Cap) else source
     masks = pts.sorted_masks()
     if basis is None:
-        from .gf2 import extract_basis
-
         chosen = extract_basis(pts)
     else:
         chosen = tuple(basis)
@@ -257,7 +258,8 @@ def exchange_basis(dec: BasisDecomposition, a: Point, x: Point) -> BasisDecompos
             expected = (old_support_pts[p.mask] ^ x_support_pts) | {x.mask}
         else:
             expected = old_support_pts[p.mask]
-        assert new_pts == expected, f"exchange prediction failed for dependent {p.mask}"
+        if new_pts != expected:
+            raise InvariantError(f"exchange prediction failed for dependent {p.mask}")
     return result
 
 
@@ -291,7 +293,8 @@ def _iter_basis_supports(
                     continue
                 sup = _solve_support(xb, t, masks[i])
                 # an independent (dim+1)-subset always spans the set
-                assert sup is not None
+                if sup is None:
+                    raise InvariantError(f"basis subset {chosen} does not span point {masks[i]}")
                 sups.append(sup)
             yield tuple(chosen), tuple(sups)
             return

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .capset import Cap
 from .decomp import _basis_scan
-from .errors import DimensionMismatchError, TooLargeError
+from .errors import DimensionMismatchError, InvariantError, TooLargeError
 from .gf2 import AffineMap, XorBasis
 
 _SIZE_LIMIT = 14
@@ -75,12 +75,7 @@ def _min_column_form(
         nonlocal best_masks, best_order
         if best_masks is None or done < best_masks:
             best_masks = done
-            rest = []
-            while avail:
-                low = avail & -avail
-                avail ^= low
-                rest.append(low.bit_length() - 1)
-            best_order = order + tuple(rest)
+            best_order = order + tuple(_columns_of(avail))
 
     def rec(
         order: tuple[int, ...],
@@ -153,7 +148,8 @@ def _min_column_form(
             )
 
     rec((), (1 << ncols) - 1, (0,) * r, tuple(s.bit_count() for s in sups), ())
-    assert best_masks is not None and best_order is not None
+    if best_masks is None or best_order is None:
+        raise InvariantError(f"no column order finalised the supports {sups}")
     return best_masks, best_order
 
 
@@ -174,13 +170,8 @@ def _normalize_columns(
     sup_cols: list[list[int]] = []
     col_members: list[list[int]] = [[] for _ in range(ncols)]
     for s, sup in enumerate(sups):
-        cols = []
-        m = sup
-        while m:
-            low = m & -m
-            m ^= low
-            c = low.bit_length() - 1
-            cols.append(c)
+        cols = _columns_of(sup)
+        for c in cols:
             col_members[c].append(s)
         sup_cols.append(cols)
 
@@ -277,12 +268,13 @@ def _canonical_scan(c: Cap) -> tuple[CanonicalForm, tuple[int, ...]]:
         if best_form is None or form < best_form:
             best_form = form
             best_basis = tuple(masks[subset[col]] for col in order)
-    assert best_form is not None and best_basis is not None
+    if best_form is None or best_basis is None:
+        raise InvariantError(f"a {c.size}-point cap of dimension {c.dim} has no internal basis")
     return CanonicalForm(c.dim, c.size, best_form), best_basis
 
 
 def canonical_form(c: Cap) -> CanonicalForm:
-    """Canonical form of a cap of at most 14 points."""
+    """Canonical form of a cap of at most ``_SIZE_LIMIT`` points."""
     return _canonical_scan(c)[0]
 
 
@@ -318,7 +310,8 @@ def _map_from_bases(basis1: tuple[int, ...], basis2: tuple[int, ...], n: int) ->
     cols = []
     for j in range(n):
         marker = solver.solve(1 << j)
-        assert marker is not None
+        if marker is None:
+            raise InvariantError(f"completed basis does not span unit vector {j}")
         image = 0
         for i in range(len(dst)):
             if marker >> i & 1:
@@ -349,7 +342,8 @@ def find_isomorphism(c1: Cap, c2: Cap) -> AffineMap | None:
     if form1 != form2:
         return None
     t = _map_from_bases(basis1, basis2, c1.n)
-    assert verify_map(t, c1, c2), "canonical bases disagree with their common form"
+    if not verify_map(t, c1, c2):
+        raise InvariantError("canonical bases disagree with their common form")
     return t
 
 

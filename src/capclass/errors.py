@@ -57,3 +57,7 @@ class UnknownLabelError(CapError):
 
 class CapFileError(CapError):
     """A cap file could not be parsed."""
+
+
+class InvariantError(CapError):
+    """An internal consistency check failed: a computed result contradicts its own derivation."""

@@ -81,9 +81,6 @@ class TestClassify:
                         break
                 assert hit
 
-    def test_threads_do_not_change_the_answer(self):
-        assert classify(4, 8, threads=4).counts() == classify(4, 8).counts()
-
     def test_dim7_monotone_closure(self):
         # every representative one size up contains a same-dimension sub-cap
         # from one of the previous size's classes

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capclass.cli import main, parse_capfile, render_capfile
+from capclass.cli import build_parser, main, parse_capfile, render_capfile
 from capclass.errors import CapFileError
 from capclass.gf2 import PointSet
 from capclass.templates import instantiate
@@ -171,6 +171,16 @@ class TestEquivCommand:
         assert payload["equivalent"] is True
         assert "map" not in payload
 
+    def test_failed_internal_check_exits_1(self, tmp_path, capsys, monkeypatch):
+        from capclass import equivalence
+
+        monkeypatch.setattr(equivalence, "verify_map", lambda t, c1, c2: False)
+        a = self.write(tmp_path, "a.cap", "T11_755_443")
+        b = self.write(tmp_path, "b.cap", "T11_555_332")
+        code, _, err = run(capsys, "equiv", a, b)
+        assert code == 1
+        assert "canonical bases disagree" in err
+
     def test_non_cap_input_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.cap"
         bad.write_text("capfile v1 n=3\n000\n100\n010\n110\n")
@@ -196,6 +206,13 @@ class TestClassifyCommand:
         _, first, _ = run(capsys, "classify", "3", "6")
         _, second, _ = run(capsys, "classify", "3", "6")
         assert first == second
+
+    @pytest.mark.parametrize("dim, max_size", [("0", "13"), ("9", "13"), ("7", "15")])
+    def test_out_of_range_arguments_exit_2(self, capsys, dim, max_size):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", dim, max_size])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestVerifyPaperCommand:
@@ -223,6 +240,17 @@ class TestVerifyPaperCommand:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+    @pytest.mark.parametrize("flag", ["--fuzz-trials", "--exchange-trials"])
+    def test_negative_trial_counts_exit_2(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-paper", "--json", flag, "-1"])
+        assert exc.value.code == 2
+        assert "must be at least 0" in capsys.readouterr().err
+
+    def test_zero_trial_counts_are_accepted(self):
+        args = build_parser().parse_args(["verify-paper", "--fuzz-trials", "0", "--exchange-trials", "0"])
+        assert (args.fuzz_trials, args.exchange_trials) == (0, 0)
 
     def test_corrupted_template_data_fails_the_run(self, capsys, monkeypatch):
         from capclass import templates

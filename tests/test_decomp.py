@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -179,6 +184,38 @@ class TestExchangeBasis:
         dec = decompose(instantiate("T10_55_2"), generating_basis("T10_55_2"))
         with pytest.raises(ExchangeHypothesisViolated):
             exchange_basis(dec, Point(0, 7), Point(64, 7))
+
+    def test_wrong_support_raises_under_python_O(self):
+        # python -O strips assert statements, so the closed-form check of the
+        # exchange must raise a typed error to survive it
+        script = """
+import sys
+from capclass.decomp import BasisDecomposition, decompose, exchange_basis
+from capclass.errors import InvariantError
+from capclass.gf2 import Point, PointSet
+from capclass.templates import FRAME_MASKS
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+y, z = 0 ^ 1 ^ 2 ^ 4 ^ 64, 0 ^ 1 ^ 8 ^ 16 ^ 64
+dec = decompose(PointSet(7, FRAME_MASKS + (63, y, z)), [Point(m, 7) for m in FRAME_MASKS])
+deps = list(dec.dependents)
+if deps[2][0].mask != z:
+    sys.exit("dependents are not in ascending point order")
+deps[2] = (deps[2][0], deps[2][1] ^ 1 << 6)  # z's support wrongly gains a7
+wrong = BasisDecomposition(dec.points, dec.basis, tuple(deps))
+try:
+    exchange_basis(wrong, Point(2, 7), Point(y, 7))  # a3 <-> y leaves z's support alone
+except InvariantError as exc:
+    print(exc)
+    sys.exit(0)
+sys.exit("exchange_basis accepted a wrong support")
+"""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert "exchange prediction failed" in done.stdout
 
 
 class TestTypeCensus:
