@@ -9,8 +9,9 @@ two of 9-caps, two of 10-caps, one each of 11- and 12-caps, no 13-caps.
 
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from capclass.classifier import classify, tait_won_bounds
 from capclass.gf2 import Point

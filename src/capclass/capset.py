@@ -29,19 +29,6 @@ def is_quad(a: Point, b: Point, c: Point, d: Point) -> bool:
     return masks[0] ^ masks[1] ^ masks[2] ^ masks[3] == 0
 
 
-def _is_cap_masks(masks: Sequence[int]) -> bool:
-    seen: set[int] = set()
-    k = len(masks)
-    for i in range(k):
-        a = masks[i]
-        for j in range(i + 1, k):
-            d = a ^ masks[j]
-            if d in seen:
-                return False
-            seen.add(d)
-    return True
-
-
 def _find_quad_masks(masks: Sequence[int]) -> tuple[int, int, int, int] | None:
     seen: dict[int, tuple[int, int]] = {}
     k = len(masks)
@@ -74,7 +61,7 @@ def is_cap(s: PointSet, *, exhaustive: bool = False) -> bool:
     masks = s.sorted_masks()
     if exhaustive:
         return _is_cap_exhaustive(masks)
-    return _is_cap_masks(masks)
+    return _find_quad_masks(masks) is None
 
 
 def find_quad(s: PointSet) -> tuple[Point, Point, Point, Point] | None:

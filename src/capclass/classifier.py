@@ -98,6 +98,8 @@ def classify(dim: int, max_size: int) -> ClassTable:
         raise ValueError("dimension must be at least 1")
     if max_size > _MAX_CLASSIFY_SIZE:
         raise TooLargeError(f"classification is desk-scale: max_size <= {_MAX_CLASSIFY_SIZE}")
+    if max_size < 1:
+        raise ValueError("max_size must be at least 1")
 
     frame = Cap(PointSet(dim, (0,) + tuple(1 << i for i in range(dim))))
     rows: dict[int, tuple[ClassEntry, ...]] = {}
@@ -500,6 +502,8 @@ def check_exchange_contract(
     seed: int = DEFAULT_EXCHANGE_SEED,
 ) -> ClaimResult:
     """Random exchanges match their closed-form support predictions."""
+    if trials < 0:
+        raise ValueError(f"trials must be at least 0, got {trials}")
     started = time.perf_counter()
     rng = random.Random(seed)
     pool = []
@@ -642,6 +646,8 @@ def check_lemma_suite(table7: ClassTable) -> ClaimResult:
 
 def check_invariance_fuzz(trials_per_template: int = DEFAULT_INVARIANCE_TRIALS) -> ClaimResult:
     """Canonical form, cap-ness, completeness, and census survive affine maps."""
+    if trials_per_template < 0:
+        raise ValueError(f"trials_per_template must be at least 0, got {trials_per_template}")
     started = time.perf_counter()
     maps = [random_invertible_affine(7, s) for s in range(trials_per_template)]
     violations = []

@@ -146,9 +146,11 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
         if not is_cap(pts):
             raise CapFileError(f"{path} does not describe a cap")
     ca, cb = Cap(pa), Cap(pb)
-    payload: dict = {"equivalent": are_equivalent(ca, cb)}
-    if payload["equivalent"] and ca.n == cb.n:
+    if ca.n != cb.n:
+        payload: dict = {"equivalent": are_equivalent(ca, cb)}
+    else:
         t = find_isomorphism(ca, cb)
+        payload = {"equivalent": t is not None}
         if t is not None:
             payload["map"] = _map_payload(t)
     print(json.dumps(payload, indent=2, sort_keys=True))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .capset import Cap
 from .errors import (
@@ -266,62 +266,54 @@ def exchange_basis(dec: BasisDecomposition, a: Point, x: Point) -> BasisDecompos
 _DESK_LIMIT = 13
 
 
-def _iter_basis_supports(
-    masks: tuple[int, ...], bc: int
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Yield (subset indices, dependent supports) for every basis subset.
+def _scan_from(
+    masks: tuple[int, ...],
+    bc: int,
+    chosen: list[int],
+    xb: XorBasis,
+    out: list[tuple[tuple[int, ...], tuple[int, ...]]],
+) -> None:
+    """Append every basis subset that extends ``chosen`` by larger indices.
+
+    ``xb`` holds masks[chosen[i]] ^ masks[chosen[0]] with marker bit i,
+    so a complete subset solves each remaining point's support directly.
+    """
+    depth = len(chosen)
+    t = masks[chosen[0]]
+    if depth == bc:
+        sups = []
+        for i, m in enumerate(masks):
+            if i in chosen:
+                continue
+            sup = _solve_support(xb, t, m)
+            # an independent (dim+1)-subset always spans the set
+            if sup is None:
+                raise InvariantError(f"basis subset {chosen} does not span point {m}")
+            sups.append(sup)
+        out.append((tuple(chosen), tuple(sups)))
+        return
+    for i in range(chosen[-1] + 1, len(masks) - (bc - depth) + 1):
+        pivot = xb.insert_tracked(masks[i] ^ t, 1 << depth)
+        if pivot is not None:
+            chosen.append(i)
+            _scan_from(masks, bc, chosen, xb, out)
+            chosen.pop()
+            xb.remove_pivot(pivot)
+
+
+@lru_cache(maxsize=64)
+def _basis_scan(masks: tuple[int, ...], bc: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(subset indices, dependent supports) for every basis subset, cached per point set.
 
     Enumerates the affinely independent bc-subsets of ``masks`` in
     ascending index order, sharing partial eliminations along common
     prefixes.  Supports use bit i = subset position i; dependents come
     in ascending mask order (masks is expected sorted).
     """
-    k = len(masks)
-    if bc > k:
-        return
-    chosen: list[int] = []
-    in_subset = [False] * k
-    xb = XorBasis()
-
-    def extend(start: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-        depth = len(chosen)
-        if depth == bc:
-            t = masks[chosen[0]]
-            sups = []
-            for i in range(k):
-                if in_subset[i]:
-                    continue
-                sup = _solve_support(xb, t, masks[i])
-                # an independent (dim+1)-subset always spans the set
-                if sup is None:
-                    raise InvariantError(f"basis subset {chosen} does not span point {masks[i]}")
-                sups.append(sup)
-            yield tuple(chosen), tuple(sups)
-            return
-        for i in range(start, k - (bc - depth) + 1):
-            if depth == 0:
-                chosen.append(i)
-                in_subset[i] = True
-                yield from extend(i + 1)
-                in_subset[i] = False
-                chosen.pop()
-            else:
-                pivot = xb.insert_tracked(masks[i] ^ masks[chosen[0]], 1 << depth)
-                if pivot is not None:
-                    chosen.append(i)
-                    in_subset[i] = True
-                    yield from extend(i + 1)
-                    in_subset[i] = False
-                    chosen.pop()
-                    xb.remove_pivot(pivot)
-
-    yield from extend(0)
-
-
-@lru_cache(maxsize=64)
-def _basis_scan(masks: tuple[int, ...], bc: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Materialized `_iter_basis_supports`, cached per point set."""
-    return tuple(_iter_basis_supports(masks, bc))
+    out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    for first in range(len(masks) - bc + 1):
+        _scan_from(masks, bc, [first], XorBasis(), out)
+    return tuple(out)
 
 
 def type_census(c: Cap) -> frozenset[ExtendedType]:
@@ -337,4 +329,5 @@ def type_census(c: Cap) -> frozenset[ExtendedType]:
             (sups[i] & sups[j]).bit_count() for i in range(r) for j in range(i + 1, r)
         )
         raw.add((sizes, pairs))
-    return frozenset(ExtendedType(s, p) for s, p in {_canonical_type(s, p) for s, p in raw})
+    # ExtendedType canonicalises each raw type; the frozenset merges equal ones
+    return frozenset(ExtendedType(s, p) for s, p in raw)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .capset import Cap
 from .decomp import _basis_scan
 from .errors import DimensionMismatchError, InvariantError, TooLargeError
-from .gf2 import AffineMap, XorBasis
+from .gf2 import AffineMap, XorBasis, _transpose
 
 _SIZE_LIMIT = 14
 
@@ -60,13 +60,7 @@ def _min_column_form(
     and only one per class is branched on.
     """
     r = len(sups)
-    member = []
-    for c in range(ncols):
-        sig = 0
-        for s, sup in enumerate(sups):
-            if sup >> c & 1:
-                sig |= 1 << s
-        member.append(sig)
+    member = _transpose(sups, ncols)
 
     best_masks: tuple[int, ...] | None = None
     best_order: tuple[int, ...] | None = None
@@ -304,27 +298,13 @@ def _map_from_bases(basis1: tuple[int, ...], basis2: tuple[int, ...], n: int) ->
                     src.append(1 << j)
                     dst.append(1 << cand)
                     break
-    solver = XorBasis()
-    for i, v in enumerate(src):
-        solver.insert(v, 1 << i)
-    cols = []
-    for j in range(n):
-        marker = solver.solve(1 << j)
-        if marker is None:
-            raise InvariantError(f"completed basis does not span unit vector {j}")
-        image = 0
-        for i in range(len(dst)):
-            if marker >> i & 1:
-                image ^= dst[i]
-        cols.append(image)
-    rows = [0] * n
-    for j, col in enumerate(cols):
-        for i in range(n):
-            if col >> i & 1:
-                rows[i] |= 1 << j
-    linear = AffineMap(n, tuple(rows), 0)
-    translation = t2 ^ linear.apply_mask(t1)
-    return AffineMap(n, tuple(rows), translation)
+    # the linear part sends column i of S = src to column i of D = dst: L = D S^-1
+    try:
+        s_map = AffineMap(n, _transpose(src, n), 0)
+        linear = AffineMap(n, _transpose(dst, n), 0).compose(s_map.inverse())
+    except ValueError as exc:
+        raise InvariantError("completed source basis is singular") from exc
+    return AffineMap(n, linear.rows, t2 ^ linear.apply_mask(t1))
 
 
 def find_isomorphism(c1: Cap, c2: Cap) -> AffineMap | None:

@@ -169,17 +169,10 @@ class XorBasis:
             mk ^= entry[1]
         return mk
 
-    def contains(self, vec: int) -> bool:
-        return self.solve(vec) is not None
-
     def copy(self) -> XorBasis:
         dup = XorBasis.__new__(XorBasis)
         dup.table = dict(self.table)
         return dup
-
-    @property
-    def rank(self) -> int:
-        return len(self.table)
 
 
 @dataclass(frozen=True)
@@ -222,12 +215,7 @@ class AffineMap:
         return all(xb.insert(row) for row in self.rows)
 
     def columns(self) -> tuple[int, ...]:
-        cols = [0] * self.n
-        for i, row in enumerate(self.rows):
-            for j in range(self.n):
-                if row >> j & 1:
-                    cols[j] |= 1 << i
-        return tuple(cols)
+        return _transpose(self.rows, self.n)
 
     def compose(self, other: AffineMap) -> AffineMap:
         """Return self after other: x -> self(other(x))."""
@@ -247,26 +235,23 @@ class AffineMap:
 
     def inverse(self) -> AffineMap:
         """Inverse map; raises ValueError if the linear part is singular."""
-        n = self.n
-        work = [self.rows[i] | (1 << (n + i)) for i in range(n)]
-        row_at = 0
-        for col in range(n):
-            pivot = None
-            for r in range(row_at, n):
-                if work[r] >> col & 1:
-                    pivot = r
-                    break
-            if pivot is None:
+        # column i of the inverse is the combination of columns solving e_i
+        xb = XorBasis()
+        for j, col in enumerate(self.columns()):
+            if not xb.insert(col, 1 << j):
                 raise ValueError("affine map is not invertible")
-            work[row_at], work[pivot] = work[pivot], work[row_at]
-            for r in range(n):
-                if r != row_at and work[r] >> col & 1:
-                    work[r] ^= work[row_at]
-            row_at += 1
-        inv_rows = tuple(work[i] >> n for i in range(n))
-        inv = AffineMap(n, inv_rows, 0)
-        b_inv = inv.apply_mask(self.translation)
-        return AffineMap(n, inv_rows, b_inv)
+        inv = AffineMap(self.n, _transpose([xb.solve(1 << i) for i in range(self.n)], self.n), 0)
+        return AffineMap(self.n, inv.rows, inv.apply_mask(self.translation))
+
+
+def _transpose(vectors: Sequence[int], n: int) -> tuple[int, ...]:
+    """Bit-matrix transpose: bit i of entry j is bit j of vectors[i]."""
+    out = [0] * n
+    for i, vec in enumerate(vectors):
+        for j in range(n):
+            if vec >> j & 1:
+                out[j] |= 1 << i
+    return tuple(out)
 
 
 def _require_same_n(points: Sequence[Point]) -> int:
@@ -300,11 +285,7 @@ def _span_masks(masks: Sequence[int]) -> set[int]:
 
 
 def _affine_rank(masks: Sequence[int]) -> int:
-    t = masks[0]
-    xb = XorBasis()
-    for m in masks[1:]:
-        xb.insert(m ^ t)
-    return xb.rank
+    return len(_greedy_basis_masks(masks)) - 1
 
 
 def affine_span(s: PointSet) -> PointSet:

@@ -8,6 +8,7 @@ from capclass.classifier import (
     brute_force_class_counts,
     check_exchange_contract,
     check_higherdim_pair,
+    check_invariance_fuzz,
     check_template_validity,
     classify,
     max_cap_size,
@@ -103,6 +104,11 @@ class TestClassify:
         with pytest.raises(DimensionOverflowError):
             classify(9, 10)
 
+    @pytest.mark.parametrize("max_size", [0, -3])
+    def test_size_guard(self, max_size):
+        with pytest.raises(ValueError):
+            classify(7, max_size)
+
     def test_desk_scale_guard(self):
         with pytest.raises(TooLargeError):
             classify(4, 15)
@@ -178,6 +184,14 @@ class TestClaims:
         res = check_exchange_contract(table7, trials=200, seed=5)
         assert res.passed
         assert res.witness["trials"] == 200
+
+    def test_negative_trial_counts_are_rejected(self):
+        with pytest.raises(ValueError):
+            check_exchange_contract(classify(7, 13), trials=-5)
+        with pytest.raises(ValueError):
+            check_invariance_fuzz(-1)
+        with pytest.raises(ValueError):
+            verify_paper(exchange_trials=-1, toy_dims=(1,))
 
     def test_verify_paper_report_shape(self):
         report = verify_paper(invariance_trials=3, exchange_trials=30, toy_dims=(1, 2))

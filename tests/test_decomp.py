@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from capclass.capset import Cap
 from capclass.decomp import (
     ExtendedType,
+    _basis_scan,
     decompose,
     exchange_basis,
     extended_type,
@@ -22,8 +24,8 @@ from capclass.errors import (
     InvalidBasisError,
     TooLargeError,
 )
-from capclass.gf2 import Point, PointSet
-from capclass.templates import FRAME_MASKS, generating_basis, instantiate
+from capclass.gf2 import Point, PointSet, is_affinely_independent
+from capclass.templates import FRAME_MASKS, LABELS, generating_basis, higherdim_pair, instantiate
 
 FRAME_POINTS = tuple(Point(m, 7) for m in FRAME_MASKS)
 
@@ -216,6 +218,32 @@ sys.exit("exchange_basis accepted a wrong support")
         done = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         assert "exchange prediction failed" in done.stdout
+
+
+def scan_oracle(cap):
+    """Every basis subset in ascending index order, with the supports decompose gives it."""
+    masks = cap.sorted_masks()
+    out = []
+    for subset in combinations(range(len(masks)), cap.dim + 1):
+        basis = [Point(masks[i], cap.n) for i in subset]
+        if is_affinely_independent(PointSet.from_points(basis)):
+            out.append((subset, decompose(cap, basis).support_masks()))
+    return tuple(out)
+
+
+class TestBasisScan:
+    @pytest.mark.parametrize("label", LABELS)
+    def test_templates_match_brute_force(self, label):
+        cap = instantiate(label)
+        assert _basis_scan(cap.sorted_masks(), cap.dim + 1) == scan_oracle(cap)
+
+    def test_higherdim_pair_matches_brute_force(self):
+        for cap in higherdim_pair():
+            assert _basis_scan(cap.sorted_masks(), cap.dim + 1) == scan_oracle(cap)
+
+    def test_more_basis_points_than_points_gives_nothing(self):
+        masks = instantiate("R5").sorted_masks()
+        assert _basis_scan(masks, len(masks) + 1) == ()
 
 
 class TestTypeCensus:

@@ -4,12 +4,13 @@ from hypothesis import strategies as st
 
 from capclass.capset import Cap
 from capclass.equivalence import (
+    _map_from_bases,
     are_equivalent,
     canonical_form,
     find_isomorphism,
     verify_map,
 )
-from capclass.errors import DimensionMismatchError, TooLargeError
+from capclass.errors import DimensionMismatchError, InvariantError, TooLargeError
 from capclass.gf2 import AffineMap, Point, PointSet, apply_affine_map, random_invertible_affine
 from capclass.templates import higherdim_pair, instantiate
 
@@ -105,6 +106,11 @@ class TestFindIsomorphism:
         other = image_cap(cap, seed)
         t = find_isomorphism(cap, other)
         assert t is not None and verify_map(t, cap, other)
+
+    def test_dependent_source_basis_raises_typed_error(self):
+        # 0, 1, 2, 3 is affinely dependent: 3 = 0 ^ 1 ^ 2
+        with pytest.raises(InvariantError):
+            _map_from_bases((0, 1, 2, 3), (0, 1, 2, 4), 3)
 
 
 class TestVerifyMap:

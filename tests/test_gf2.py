@@ -182,13 +182,20 @@ class TestAffineMap:
         assert random_invertible_affine(7, 0) == random_invertible_affine(7, 0)
         assert random_invertible_affine(7, 0) != random_invertible_affine(7, 1)
 
-    @given(st.integers(0, 200), st.integers(2, 8))
+    @given(st.integers(0, 200), st.integers(1, 16))
     def test_generated_maps_invert(self, seed, n):
         t = random_invertible_affine(n, seed)
         assert t.is_invertible
         ident = t.compose(t.inverse())
         assert ident == AffineMap.identity(n)
         assert t.inverse().compose(t) == AffineMap.identity(n)
+
+    @pytest.mark.parametrize("rows", [(0,), (1, 1), (3, 1, 2), (5, 6, 3), (1, 2, 0)])
+    def test_singular_map_has_no_inverse(self, rows):
+        t = AffineMap(len(rows), rows, 1)
+        assert not t.is_invertible
+        with pytest.raises(ValueError):
+            t.inverse()
 
     @given(st.integers(0, 100), point_sets())
     def test_span_commutes_with_invertible_maps(self, seed, s):
