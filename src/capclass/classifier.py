@@ -496,14 +496,18 @@ def check_census_theorems(table7: ClassTable) -> ClaimResult:
     return _timed_claim("census-theorems", not problems, dict(witness, problems=problems), started)
 
 
+def _require_trial_count(name: str, count: int) -> None:
+    if count < 0:
+        raise ValueError(f"{name} must be at least 0, got {count}")
+
+
 def check_exchange_contract(
     table7: ClassTable,
     trials: int = DEFAULT_EXCHANGE_TRIALS,
     seed: int = DEFAULT_EXCHANGE_SEED,
 ) -> ClaimResult:
     """Random exchanges match their closed-form support predictions."""
-    if trials < 0:
-        raise ValueError(f"trials must be at least 0, got {trials}")
+    _require_trial_count("trials", trials)
     started = time.perf_counter()
     rng = random.Random(seed)
     pool = []
@@ -646,8 +650,7 @@ def check_lemma_suite(table7: ClassTable) -> ClaimResult:
 
 def check_invariance_fuzz(trials_per_template: int = DEFAULT_INVARIANCE_TRIALS) -> ClaimResult:
     """Canonical form, cap-ness, completeness, and census survive affine maps."""
-    if trials_per_template < 0:
-        raise ValueError(f"trials_per_template must be at least 0, got {trials_per_template}")
+    _require_trial_count("trials_per_template", trials_per_template)
     started = time.perf_counter()
     maps = [random_invertible_affine(7, s) for s in range(trials_per_template)]
     violations = []
@@ -748,6 +751,8 @@ def verify_paper(
     toy_dims: Sequence[int] = DEFAULT_TOY_DIMS,
 ) -> VerificationReport:
     """Re-derive the classification and check every claim, returning the report."""
+    _require_trial_count("invariance_trials", invariance_trials)
+    _require_trial_count("exchange_trials", exchange_trials)
     table7 = classify(7, 13)
     table6 = classify(6, 10)
     claims = (

@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from .capset import Cap, find_quad, is_cap, is_complete, quad_closure_1
+from .capset import Cap, find_quad, is_complete, quad_closure_1
 from .classifier import (
     _CENSUS_LIMIT,
     _MAX_CLASSIFY_DIM,
@@ -28,7 +28,7 @@ from .classifier import (
 )
 from .decomp import type_census
 from .equivalence import are_equivalent, find_isomorphism
-from .errors import CapError, CapFileError, InvariantError, UnknownLabelError
+from .errors import CapError, CapFileError, InvariantError, NotACapError, UnknownLabelError
 from .gf2 import MAX_DIM, Point, PointSet, affine_dim
 from .templates import LABELS, instantiate
 
@@ -139,13 +139,17 @@ def _cmd_closure(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cap_of(path: str, pts: PointSet) -> Cap:
+    try:
+        return Cap(pts)
+    except NotACapError:
+        raise CapFileError(f"{path} does not describe a cap") from None
+
+
 def _cmd_equiv(args: argparse.Namespace) -> int:
     pa = _read_points(args.file_a)
     pb = _read_points(args.file_b)
-    for path, pts in ((args.file_a, pa), (args.file_b, pb)):
-        if not is_cap(pts):
-            raise CapFileError(f"{path} does not describe a cap")
-    ca, cb = Cap(pa), Cap(pb)
+    ca, cb = _cap_of(args.file_a, pa), _cap_of(args.file_b, pb)
     if ca.n != cb.n:
         payload: dict = {"equivalent": are_equivalent(ca, cb)}
     else:

@@ -25,14 +25,17 @@ from .errors import (
 from .gf2 import (
     Point,
     PointSet,
-    XorBasis,
     _affine_rank,
+    _columns_of,
+    _greedy_basis_masks,
     _solve_support,
     _support_solver,
     extract_basis,
 )
 
+# raw (sizes, pairs) -> canonical order; cleared whenever it reaches the limit
 _TYPE_CACHE: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+_TYPE_CACHE_LIMIT = 100_000
 
 
 def _canonical_type(sizes: tuple[int, ...], pairs: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -68,6 +71,8 @@ def _canonical_type(sizes: tuple[int, ...], pairs: tuple[int, ...]) -> tuple[tup
             best = cand
     if best is None:
         raise InvariantError(f"no dependent order keeps the sizes {sizes} non-increasing")
+    if len(_TYPE_CACHE) >= _TYPE_CACHE_LIMIT:
+        _TYPE_CACHE.clear()
     _TYPE_CACHE[key] = best
     return best
 
@@ -267,52 +272,88 @@ _DESK_LIMIT = 13
 
 
 def _scan_from(
-    masks: tuple[int, ...],
-    bc: int,
-    chosen: list[int],
-    xb: XorBasis,
+    rows: list[int],
+    depth: int,
+    start: int,
+    k: int,
+    basis: list[int],
     out: list[tuple[tuple[int, ...], tuple[int, ...]]],
 ) -> None:
-    """Append every basis subset that extends ``chosen`` by larger indices.
+    """Append every basis whose complement extends the chosen one by indices >= start.
 
-    ``xb`` holds masks[chosen[i]] ^ masks[chosen[0]] with marker bit i,
-    so a complete subset solves each remaining point's support directly.
+    ``rows`` are the r dual rows after ``depth`` complement points have
+    been chosen, pivoted on and deleted: rows[t] for t < depth belongs to
+    the t-th chosen point, ``basis`` lists the k-point set's indices below
+    ``start`` outside the complement (bit i = basis[i]), and index c >=
+    start sits at bit c - depth.  Once all r points are chosen, rows[t]
+    is the support of the t-th one over the basis positions.
     """
-    depth = len(chosen)
-    t = masks[chosen[0]]
-    if depth == bc:
-        sups = []
-        for i, m in enumerate(masks):
-            if i in chosen:
-                continue
-            sup = _solve_support(xb, t, m)
-            # an independent (dim+1)-subset always spans the set
-            if sup is None:
-                raise InvariantError(f"basis subset {chosen} does not span point {m}")
-            sups.append(sup)
-        out.append((tuple(chosen), tuple(sups)))
-        return
-    for i in range(chosen[-1] + 1, len(masks) - (bc - depth) + 1):
-        pivot = xb.insert_tracked(masks[i] ^ t, 1 << depth)
-        if pivot is not None:
-            chosen.append(i)
-            _scan_from(masks, bc, chosen, xb, out)
-            chosen.pop()
-            xb.remove_pivot(pivot)
+    r = len(rows)
+    last = depth == r - 1
+    mark = len(basis)
+    for c in range(start, k - r + depth + 1):
+        bit = 1 << (c - depth)
+        for piv in range(depth, r):
+            if rows[piv] & bit:
+                break
+        else:
+            # column c depends on the complement chosen so far
+            basis.append(c)
+            continue
+        # eliminate column c from the other rows, then delete it; deletion
+        # is linear, so a row holding c can add the pivot row already
+        # deleted.  The pivot row cancels itself and is put back at depth.
+        low, high = bit - 1, -bit
+        pr = rows[piv] & low | rows[piv] >> 1 & high
+        reduced = [(x & low | x >> 1 & high) ^ (pr if x & bit else 0) for x in rows]
+        reduced[piv] = reduced[depth]
+        reduced[depth] = pr
+        if last:
+            out.append((tuple(basis) + tuple(range(c + 1, k)), tuple(reduced)))
+        else:
+            _scan_from(reduced, depth + 1, c + 1, k, basis, out)
+        basis.append(c)
+    del basis[mark:]
 
 
 @lru_cache(maxsize=64)
 def _basis_scan(masks: tuple[int, ...], bc: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """(subset indices, dependent supports) for every basis subset, cached per point set.
 
-    Enumerates the affinely independent bc-subsets of ``masks`` in
-    ascending index order, sharing partial eliminations along common
-    prefixes.  Supports use bit i = subset position i; dependents come
-    in ascending mask order (masks is expected sorted).
+    A bc-subset is a basis exactly when its complement is a basis of the
+    dual matroid, whose rows are the dependents' supports over the greedy
+    basis plus the dependent itself (over GF(2), [I | A] has dual
+    [A^T | I]).  The scan chooses complements in ascending index order and
+    Gauss-Jordan-eliminates the r dual rows on each chosen column; at a
+    complete complement the rows are the supports over the remaining
+    points.  Results come in ascending index order of the subsets, with
+    bit i = subset position i and dependents in ascending mask order
+    (masks is expected sorted).
     """
+    k = len(masks)
+    if bc > k:
+        return ()
+    greedy = _greedy_basis_masks(masks)
+    if len(greedy) < bc:
+        return ()
+    if len(greedy) > bc:
+        raise InvariantError(f"{bc} points cannot span a set of affine rank {len(greedy) - 1}")
+    index = {m: i for i, m in enumerate(masks)}
+    solver = _support_solver(greedy)
+    rows = []
+    for i, m in enumerate(masks):
+        if m in greedy:
+            continue
+        row = 1 << i
+        for pos in _columns_of(_solve_support(solver, greedy[0], m)):
+            row |= 1 << index[greedy[pos]]
+        rows.append(row)
+    if not rows:
+        return ((tuple(range(k)), ()),)
     out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for first in range(len(masks) - bc + 1):
-        _scan_from(masks, bc, [first], XorBasis(), out)
+    _scan_from(rows, 0, 0, k, [], out)
+    # complements in ascending order are bases in descending order
+    out.reverse()
     return tuple(out)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .capset import Cap
 from .decomp import _basis_scan
 from .errors import DimensionMismatchError, InvariantError, TooLargeError
-from .gf2 import AffineMap, XorBasis, _transpose
+from .gf2 import AffineMap, XorBasis, _columns_of, _transpose
 
 _SIZE_LIMIT = 14
 
@@ -29,7 +29,7 @@ _SIZE_LIMIT = 14
 # present the same structures under permuted column labels, so raw keys
 # (exact masks) recur within a run while the normalized keys below collapse
 # relabelings of the same structure; the branch-and-bound runs only once
-# per normalized key.
+# per normalized key.  Both are cleared whenever they reach _RAW_CACHE_LIMIT.
 _RAW_FORM_CACHE: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 _NORM_FORM_CACHE: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 _RAW_CACHE_LIMIT = 400_000
@@ -194,15 +194,6 @@ def _normalize_columns(
     return tuple(norm), old_of_new
 
 
-def _columns_of(mask: int) -> list[int]:
-    cols = []
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        cols.append(low.bit_length() - 1)
-    return cols
-
-
 def _minimal_form_for_supports(
     sups: tuple[int, ...], ncols: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -238,6 +229,8 @@ def _minimal_form_for_supports(
     entry = _NORM_FORM_CACHE.get(norm_key)
     if entry is None:
         entry = _min_column_form(norm, ncols)
+        if len(_NORM_FORM_CACHE) >= _RAW_CACHE_LIMIT:
+            _NORM_FORM_CACHE.clear()
         _NORM_FORM_CACHE[norm_key] = entry
     masks, order_n = entry
     result = (masks, tuple(old_of_new[k] for k in order_n))

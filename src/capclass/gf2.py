@@ -136,10 +136,6 @@ class XorBasis:
 
     def insert(self, vec: int, marker: int = 0) -> bool:
         """Add vec; return False (and change nothing) if it is dependent."""
-        return self.insert_tracked(vec, marker) is not None
-
-    def insert_tracked(self, vec: int, marker: int = 0) -> int | None:
-        """Like insert, but return the pivot key created (for later removal)."""
         r, mk = vec, marker
         table = self.table
         while r:
@@ -147,14 +143,10 @@ class XorBasis:
             entry = table.get(low)
             if entry is None:
                 table[low] = (r, mk)
-                return low
+                return True
             r ^= entry[0]
             mk ^= entry[1]
-        return None
-
-    def remove_pivot(self, pivot: int) -> None:
-        """Undo an insert_tracked; only valid for the most recent insertion."""
-        del self.table[pivot]
+        return False
 
     def solve(self, vec: int) -> int | None:
         """Marker combination producing vec, or None if vec is outside the span."""
@@ -252,6 +244,16 @@ def _transpose(vectors: Sequence[int], n: int) -> tuple[int, ...]:
             if vec >> j & 1:
                 out[j] |= 1 << i
     return tuple(out)
+
+
+def _columns_of(mask: int) -> list[int]:
+    """Indices of the set bits of mask, ascending."""
+    cols = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        cols.append(low.bit_length() - 1)
+    return cols
 
 
 def _require_same_n(points: Sequence[Point]) -> int:

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from capclass import classifier
 from capclass.capset import is_cap
 from capclass.classifier import (
     brute_force_class_counts,
@@ -192,6 +193,15 @@ class TestClaims:
             check_invariance_fuzz(-1)
         with pytest.raises(ValueError):
             verify_paper(exchange_trials=-1, toy_dims=(1,))
+
+    @pytest.mark.parametrize("name", ("invariance_trials", "exchange_trials"))
+    def test_negative_trial_counts_are_rejected_before_any_work(self, monkeypatch, name):
+        def refuse(*args):
+            raise AssertionError("classify ran before the trial counts were checked")
+
+        monkeypatch.setattr(classifier, "classify", refuse)
+        with pytest.raises(ValueError, match=f"{name} must be at least 0"):
+            verify_paper(**{name: -1})
 
     def test_verify_paper_report_shape(self):
         report = verify_paper(invariance_trials=3, exchange_trials=30, toy_dims=(1, 2))

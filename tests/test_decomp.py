@@ -1,17 +1,21 @@
 import os
+import random
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capclass import decomp
 from capclass.capset import Cap
+from capclass.classifier import classify
 from capclass.decomp import (
     ExtendedType,
     _basis_scan,
+    _canonical_type,
     decompose,
     exchange_basis,
     extended_type,
@@ -22,9 +26,10 @@ from capclass.errors import (
     BadIndexError,
     ExchangeHypothesisViolated,
     InvalidBasisError,
+    InvariantError,
     TooLargeError,
 )
-from capclass.gf2 import Point, PointSet, is_affinely_independent
+from capclass.gf2 import Point, PointSet, apply_affine_map, is_affinely_independent, random_invertible_affine
 from capclass.templates import FRAME_MASKS, LABELS, generating_basis, higherdim_pair, instantiate
 
 FRAME_POINTS = tuple(Point(m, 7) for m in FRAME_MASKS)
@@ -138,6 +143,30 @@ class TestExtendedType:
         assert ExtendedType.from_supports(shuffled) == ExtendedType.from_supports(sups)
 
 
+def brute_force_type(sups):
+    """Least (sizes, pair sizes) over the dependent orders that keep the sizes non-increasing."""
+    best = None
+    for perm in permutations(sups):
+        sizes = tuple(s.bit_count() for s in perm)
+        if list(sizes) != sorted(sizes, reverse=True):
+            continue
+        pairs = tuple((a & b).bit_count() for a, b in combinations(perm, 2))
+        if best is None or (sizes, pairs) < best:
+            best = (sizes, pairs)
+    return best
+
+
+class TestCanonicalTypeAgainstAllOrders:
+    def test_seeded_random_supports(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            ncols = rng.randint(3, 9)
+            sups = rng.sample(range(1, 1 << ncols), rng.randint(1, 5))
+            sizes = tuple(s.bit_count() for s in sups)
+            pairs = tuple((a & b).bit_count() for a, b in combinations(sups, 2))
+            assert _canonical_type(sizes, pairs) == brute_force_type(sups), sups
+
+
 class TestExchangeBasis:
     def worked_example(self):
         x = 0 ^ 1 ^ 2 ^ 4 ^ 8 ^ 16 ^ 32  # a1+..+a7
@@ -241,9 +270,40 @@ class TestBasisScan:
         for cap in higherdim_pair():
             assert _basis_scan(cap.sorted_masks(), cap.dim + 1) == scan_oracle(cap)
 
+    @pytest.mark.parametrize("label", ("T12_7555", "T12_5555_233333", "T12_5555_233332"))
+    @pytest.mark.parametrize("seed", (3, 17, 40))
+    def test_template_images_match_brute_force(self, label, seed):
+        # four dependents, with the points in a different order than the template's
+        t = random_invertible_affine(7, seed)
+        cap = Cap(apply_affine_map(t, instantiate(label).points))
+        assert _basis_scan(cap.sorted_masks(), cap.dim + 1) == scan_oracle(cap)
+
+    @pytest.mark.parametrize("dim, max_size", ((6, 10), (8, 12)))
+    def test_classified_representatives_match_brute_force(self, dim, max_size):
+        table = classify(dim, max_size)
+        for size in sorted(table.rows):
+            for entry in table.entries(size):
+                cap = entry.cap
+                assert _basis_scan(cap.sorted_masks(), cap.dim + 1) == scan_oracle(cap)
+
+    def test_frame_is_its_only_basis(self):
+        cap = Cap(PointSet(7, FRAME_MASKS))
+        assert _basis_scan(cap.sorted_masks(), 8) == scan_oracle(cap) == ((tuple(range(8)), ()),)
+
     def test_more_basis_points_than_points_gives_nothing(self):
         masks = instantiate("R5").sorted_masks()
         assert _basis_scan(masks, len(masks) + 1) == ()
+
+    def test_more_basis_points_than_the_rank_allows_gives_nothing(self):
+        cap = instantiate("T10_55_2")
+        masks = cap.sorted_masks()
+        for bc in range(cap.dim + 2, len(masks) + 1):
+            assert _basis_scan(masks, bc) == ()
+
+    def test_too_few_basis_points_raise(self):
+        cap = instantiate("T10_55_2")
+        with pytest.raises(InvariantError):
+            _basis_scan(cap.sorted_masks(), cap.dim)
 
 
 class TestTypeCensus:
@@ -264,6 +324,21 @@ class TestTypeCensus:
         big = Cap(PointSet(16, tuple(1 << i for i in range(14))))
         with pytest.raises(TooLargeError):
             type_census(big)
+
+    def test_type_cache_stays_bounded(self, monkeypatch):
+        from capclass.gf2 import apply_affine_map, random_invertible_affine
+
+        caps = [instantiate(label) for label in LABELS]
+        caps += [Cap(apply_affine_map(random_invertible_affine(7, seed), cap.points)) for cap in caps for seed in (1, 2)]
+        monkeypatch.setattr(decomp, "_TYPE_CACHE", {})
+        expected = [type_census(cap) for cap in caps]
+        limit = 2
+        assert len(decomp._TYPE_CACHE) > limit
+        monkeypatch.setattr(decomp, "_TYPE_CACHE_LIMIT", limit)
+        monkeypatch.setattr(decomp, "_TYPE_CACHE", {})
+        for cap, want in zip(caps, expected):
+            assert type_census(cap) == want
+            assert len(decomp._TYPE_CACHE) <= limit
 
     @given(st.integers(0, 60))
     @settings(max_examples=25, deadline=None)

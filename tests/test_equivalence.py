@@ -1,10 +1,17 @@
+import random
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capclass import equivalence
 from capclass.capset import Cap
 from capclass.equivalence import (
+    _canonical_scan,
     _map_from_bases,
+    _min_column_form,
+    _minimal_form_for_supports,
     are_equivalent,
     canonical_form,
     find_isomorphism,
@@ -164,3 +171,46 @@ class TestBruteForceAgreement:
                     list(a.sorted_masks()), list(b.sorted_masks()), 6
                 )
                 assert are_equivalent(a, b) == expected
+
+
+def relabel(mask, order):
+    """mask with column order[i] moved to position i."""
+    return sum(1 << i for i, c in enumerate(order) if mask >> c & 1)
+
+
+def random_supports(rng):
+    ncols = rng.randint(1, 7)
+    r = rng.randint(1, min(4, (1 << ncols) - 1))
+    return tuple(rng.sample(range(1, 1 << ncols), r)), ncols
+
+
+def brute_force_min_form(sups, ncols):
+    return min(tuple(sorted(relabel(s, order) for s in sups)) for order in permutations(range(ncols)))
+
+
+class TestMinimalFormAgainstAllColumnOrders:
+    @pytest.mark.parametrize("form_of", (_min_column_form, _minimal_form_for_supports))
+    def test_seeded_random_supports(self, form_of):
+        rng = random.Random(2024)
+        for _ in range(300):
+            sups, ncols = random_supports(rng)
+            masks, order = form_of(sups, ncols)
+            assert sorted(order) == list(range(ncols))
+            assert tuple(sorted(relabel(s, order) for s in sups)) == masks
+            assert masks == brute_force_min_form(sups, ncols), (sups, ncols)
+
+
+def test_form_caches_stay_bounded(monkeypatch):
+    caps = [image_cap(instantiate(label), seed) for label in ("T11_555_332", "T11_755_443") for seed in (1, 2)]
+    monkeypatch.setattr(equivalence, "_RAW_FORM_CACHE", {})
+    monkeypatch.setattr(equivalence, "_NORM_FORM_CACHE", {})
+    expected = [_canonical_scan(cap) for cap in caps]
+    limit = 3
+    assert len(equivalence._NORM_FORM_CACHE) > limit
+    monkeypatch.setattr(equivalence, "_RAW_CACHE_LIMIT", limit)
+    monkeypatch.setattr(equivalence, "_RAW_FORM_CACHE", {})
+    monkeypatch.setattr(equivalence, "_NORM_FORM_CACHE", {})
+    for cap, want in zip(caps, expected):
+        assert _canonical_scan(cap) == want
+        assert len(equivalence._RAW_FORM_CACHE) <= limit
+        assert len(equivalence._NORM_FORM_CACHE) <= limit
