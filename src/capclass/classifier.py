@@ -14,13 +14,14 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .capset import Cap, extension_candidates, is_cap, is_complete, quad_closure_1
 from .decomp import (
     _DESK_LIMIT,
+    BasisDecomposition,
     ExtendedType,
     _basis_scan,
     decompose,
@@ -29,7 +30,7 @@ from .decomp import (
     type_census,
 )
 from .equivalence import _SIZE_LIMIT, CanonicalForm, canonical_form, find_isomorphism, verify_map
-from .errors import DimensionOverflowError, InvariantError, TooLargeError
+from .errors import DimensionOverflowError, InvariantError, NotACapError, TooLargeError
 from .gf2 import (
     Point,
     PointSet,
@@ -328,13 +329,24 @@ def _map_payload(t) -> dict:
     }
 
 
-def _timed_claim(claim_id: str, passed: bool, witness: dict, started: float) -> ClaimResult:
-    return ClaimResult(claim_id, passed, dict(witness), time.perf_counter() - started)
+def _claim(claim_id: str) -> Callable[[Callable[..., tuple[bool, dict]]], Callable[..., ClaimResult]]:
+    """Turn a check body returning (passed, witness) into a timed claim of this id."""
+
+    def decorate(body: Callable[..., tuple[bool, dict]]) -> Callable[..., ClaimResult]:
+        @wraps(body)
+        def check(*args, **kwargs) -> ClaimResult:
+            started = time.perf_counter()
+            passed, witness = body(*args, **kwargs)
+            return ClaimResult(claim_id, passed, dict(witness), time.perf_counter() - started)
+
+        return check
+
+    return decorate
 
 
-def check_template_validity() -> ClaimResult:
+@_claim("template-validity")
+def check_template_validity() -> tuple[bool, dict]:
     """Every template builds a cap of the stated size, dimension, and type."""
-    started = time.perf_counter()
     failures = []
     details = {}
     for tid in templates.TEMPLATES:
@@ -356,43 +368,27 @@ def check_template_validity() -> ClaimResult:
         }
         if not ok:
             failures.append(tid.label)
-    return _timed_claim(
-        "template-validity",
-        not failures,
-        {"templates": details, "failures": failures},
-        started,
-    )
+    return not failures, {"templates": details, "failures": failures}
 
 
-def check_dim7_counts(table7: ClassTable) -> ClaimResult:
-    """Exactly {8:1, 9:2, 10:2, 11:1, 12:1, 13:0} classes in dimension 7."""
-    started = time.perf_counter()
-    expected = {8: 1, 9: 2, 10: 2, 11: 1, 12: 1, 13: 0}
-    got = table7.counts()
-    return _timed_claim(
-        "dim7-classification-counts",
-        got == expected,
-        {"expected": expected, "got": got},
-        started,
-    )
+def _counts_claim(claim_id: str, expected: dict[int, int]) -> Callable[[ClassTable], ClaimResult]:
+    """A claim that a table has exactly the expected class count per size."""
+
+    @_claim(claim_id)
+    def check(table: ClassTable) -> tuple[bool, dict]:
+        got = table.counts()
+        return got == expected, {"expected": dict(expected), "got": got}
+
+    return check
 
 
-def check_dim6_counts(table6: ClassTable) -> ClaimResult:
-    """Exactly {7:1, 8:2, 9:1, 10:0} classes in dimension 6."""
-    started = time.perf_counter()
-    expected = {7: 1, 8: 2, 9: 1, 10: 0}
-    got = table6.counts()
-    return _timed_claim(
-        "dim6-classification-counts",
-        got == expected,
-        {"expected": expected, "got": got},
-        started,
-    )
+check_dim7_counts = _counts_claim("dim7-classification-counts", {8: 1, 9: 2, 10: 2, 11: 1, 12: 1, 13: 0})
+check_dim6_counts = _counts_claim("dim6-classification-counts", {7: 1, 8: 2, 9: 1, 10: 0})
 
 
-def check_completeness(table7: ClassTable) -> ClaimResult:
+@_claim("completeness-witnesses")
+def check_completeness(table7: ClassTable) -> tuple[bool, dict]:
     """Only the 12-caps are complete; smaller caps extend, with named witnesses."""
-    started = time.perf_counter()
     problems = []
     witness: dict = {}
 
@@ -420,20 +416,17 @@ def check_completeness(table7: ClassTable) -> ClaimResult:
         ("T11_555_332", (2, 3, 4, 6, 8)),
     ]
     for label, generators in named:
-        cap = templates.instantiate(label)
-        point = 0
-        for g in generators:
-            point ^= templates.FRAME_MASKS[g - 1]
-        ok = point in extension_candidates(cap)
+        point = templates._generator_mask(generators, templates.FRAME_MASKS)
+        ok = point in extension_candidates(templates.instantiate(label))
         witness[f"witness_{label}"] = {"point": point, "admissible": ok}
         if not ok:
             problems.append(f"extension witness for {label}")
-    return _timed_claim("completeness-witnesses", not problems, dict(witness, problems=problems), started)
+    return not problems, dict(witness, problems=problems)
 
 
-def check_equivalence_structure() -> ClaimResult:
+@_claim("equivalence-structure")
+def check_equivalence_structure() -> tuple[bool, dict]:
     """The template equivalences and non-equivalences, each with a checked map."""
-    started = time.perf_counter()
     problems = []
     witness: dict = {"isomorphisms": {}}
 
@@ -454,17 +447,17 @@ def check_equivalence_structure() -> ClaimResult:
         else:
             witness["isomorphisms"][f"{a}->{b}"] = _map_payload(t)
 
-    ca, cb = templates.instantiate("T10_55_2"), templates.instantiate("T10_55_3")
-    distinct = not (canonical_form(ca) == canonical_form(cb)) and find_isomorphism(ca, cb) is None
+    # find_isomorphism compares the two canonical forms before it builds a map
+    distinct = find_isomorphism(templates.instantiate("T10_55_2"), templates.instantiate("T10_55_3")) is None
     witness["ten_cap_classes_distinct"] = distinct
     if not distinct:
         problems.append("T10_55_2 vs T10_55_3 must differ")
-    return _timed_claim("equivalence-structure", not problems, dict(witness, problems=problems), started)
+    return not problems, dict(witness, problems=problems)
 
 
-def check_census_theorems(table7: ClassTable) -> ClaimResult:
+@_claim("census-theorems")
+def check_census_theorems(table7: ClassTable) -> tuple[bool, dict]:
     """Census facts: forced basis types at sizes 10, 11, and 12."""
-    started = time.perf_counter()
     problems = []
 
     type_55_2 = ExtendedType((5, 5), (2,))
@@ -493,7 +486,7 @@ def check_census_theorems(table7: ClassTable) -> ClaimResult:
         "size11": [sorted(str(t) for t in entry.census) for entry in table7.entries(11)],
         "size12": [sorted(str(t) for t in entry.census) for entry in table7.entries(12)],
     }
-    return _timed_claim("census-theorems", not problems, dict(witness, problems=problems), started)
+    return not problems, dict(witness, problems=problems)
 
 
 def _require_trial_count(name: str, count: int) -> None:
@@ -501,50 +494,48 @@ def _require_trial_count(name: str, count: int) -> None:
         raise ValueError(f"{name} must be at least 0, got {count}")
 
 
+@_claim("exchange-contract")
 def check_exchange_contract(
     table7: ClassTable,
     trials: int = DEFAULT_EXCHANGE_TRIALS,
     seed: int = DEFAULT_EXCHANGE_SEED,
-) -> ClaimResult:
+) -> tuple[bool, dict]:
     """Random exchanges match their closed-form support predictions."""
     _require_trial_count("trials", trials)
-    started = time.perf_counter()
     rng = random.Random(seed)
     pool = []
     for size in (9, 10, 11, 12):
         for entry in table7.entries(size):
-            cap = entry.cap
-            bases = _basis_scan(cap.sorted_masks(), cap.dim + 1)
-            pool.append((cap, bases))
+            cap, masks = entry.cap, entry.cap.sorted_masks()
+            pool.append((cap, tuple(Point(m, cap.n) for m in masks), _basis_scan(masks, cap.dim + 1)))
     performed = 0
     failures = 0
     attempts = 0
     while performed < trials and attempts < trials * 20:
         attempts += 1
-        cap, bases = pool[rng.randrange(len(pool))]
+        cap, points, bases = pool[rng.randrange(len(pool))]
         subset, sups = bases[rng.randrange(len(bases))]
-        masks = cap.sorted_masks()
-        basis_pts = [Point(masks[i], cap.n) for i in subset]
-        dec = decompose(cap, basis_pts)
-        valid = []
-        for i, (_, sup) in enumerate(dec.dependents):
-            for pos in range(len(basis_pts)):
-                if not sup >> pos & 1:
-                    continue
-                others = sum(
-                    1
-                    for j, (_, s2) in enumerate(dec.dependents)
-                    if j != i and s2 >> pos & 1
-                )
-                if others <= 1:
-                    valid.append((pos, i))
+        # the scan's supports are decompose's for this basis: dependents in
+        # ascending point order, bit pos = subset[pos]
+        dec = BasisDecomposition(
+            cap.points,
+            tuple(points[i] for i in subset),
+            tuple(zip((p for i, p in enumerate(points) if i not in subset), sups)),
+        )
+        # a basis point may go to a dependent holding it when at most one
+        # other dependent holds it too
+        holders = [sum(s >> pos & 1 for s in sups) for pos in range(len(subset))]
+        valid = [
+            (pos, i)
+            for i, s in enumerate(sups)
+            for pos in range(len(subset))
+            if s >> pos & 1 and holders[pos] <= 2
+        ]
         if not valid:
             continue
         pos, i = valid[rng.randrange(len(valid))]
-        a = dec.basis[pos]
-        x = dec.dependents[i][0]
         try:
-            exchange_basis(dec, a, x)
+            exchange_basis(dec, dec.basis[pos], dec.dependents[i][0])
         except InvariantError:
             failures += 1
         performed += 1
@@ -573,7 +564,7 @@ def check_exchange_contract(
         "worked_example": {"before": str(before), "after": str(after)},
         "seven_five_exchange": str(extended_type(swapped10)),
     }
-    return _timed_claim("exchange-contract", passed, witness, started)
+    return passed, witness
 
 
 def _lemma_violations(cap: Cap) -> list[str]:
@@ -631,27 +622,26 @@ def _lemma_violations(cap: Cap) -> list[str]:
     return out
 
 
-def check_lemma_suite(table7: ClassTable) -> ClaimResult:
+@_claim("lemma-suite")
+def check_lemma_suite(table7: ClassTable) -> tuple[bool, dict]:
     """Structural laws hold for every basis of every dim-7 representative."""
-    started = time.perf_counter()
     violations = []
     checked = 0
     for size, entries in table7.rows.items():
         for entry in entries:
             checked += 1
             violations += [f"size {size}: {v}" for v in _lemma_violations(entry.cap)]
-    return _timed_claim(
-        "lemma-suite",
-        not violations,
-        {"caps_checked": checked, "violations": violations[:10], "violation_count": len(violations)},
-        started,
-    )
+    return not violations, {
+        "caps_checked": checked,
+        "violations": violations[:10],
+        "violation_count": len(violations),
+    }
 
 
-def check_invariance_fuzz(trials_per_template: int = DEFAULT_INVARIANCE_TRIALS) -> ClaimResult:
+@_claim("invariance-fuzz")
+def check_invariance_fuzz(trials_per_template: int = DEFAULT_INVARIANCE_TRIALS) -> tuple[bool, dict]:
     """Canonical form, cap-ness, completeness, and census survive affine maps."""
     _require_trial_count("trials_per_template", trials_per_template)
-    started = time.perf_counter()
     maps = [random_invertible_affine(7, s) for s in range(trials_per_template)]
     violations = []
     for tid in templates.TEMPLATES:
@@ -660,33 +650,28 @@ def check_invariance_fuzz(trials_per_template: int = DEFAULT_INVARIANCE_TRIALS) 
         base_complete = is_complete(cap)
         base_census = type_census(cap)
         for seed, t in enumerate(maps):
-            image_set = apply_affine_map(t, cap.points)
-            if not is_cap(image_set):
+            try:
+                image = Cap(apply_affine_map(t, cap.points))
+            except NotACapError:
                 violations.append(f"{tid.label} seed {seed}: image is not a cap")
                 continue
-            image = Cap(image_set)
             if canonical_form(image) != base_form:
                 violations.append(f"{tid.label} seed {seed}: canonical form changed")
             if is_complete(image) != base_complete:
                 violations.append(f"{tid.label} seed {seed}: completeness changed")
             if type_census(image) != base_census:
                 violations.append(f"{tid.label} seed {seed}: census changed")
-    return _timed_claim(
-        "invariance-fuzz",
-        not violations,
-        {
-            "templates": len(templates.TEMPLATES),
-            "maps_per_template": trials_per_template,
-            "violations": violations[:10],
-            "violation_count": len(violations),
-        },
-        started,
-    )
+    return not violations, {
+        "templates": len(templates.TEMPLATES),
+        "maps_per_template": trials_per_template,
+        "violations": violations[:10],
+        "violation_count": len(violations),
+    }
 
 
-def check_higherdim_pair() -> ClaimResult:
+@_claim("higher-dimension-pair")
+def check_higherdim_pair() -> tuple[bool, dict]:
     """Equal extended types need not mean equivalence one dimension up."""
-    started = time.perf_counter()
     c1, c2 = templates.higherdim_pair()
     basis = templates.higherdim_generating_basis()
     t1 = extended_type(decompose(c1, basis))
@@ -699,12 +684,12 @@ def check_higherdim_pair() -> ClaimResult:
         "equivalent": equivalent,
         "caps": [_cap_payload(c1), _cap_payload(c2)],
     }
-    return _timed_claim("higher-dimension-pair", passed, witness, started)
+    return passed, witness
 
 
-def check_size_bounds(table7: ClassTable, table6: ClassTable) -> ClaimResult:
+@_claim("size-bounds")
+def check_size_bounds(table7: ClassTable, table6: ClassTable) -> tuple[bool, dict]:
     """Closed-form bounds evaluate exactly and bracket the observed maxima."""
-    started = time.perf_counter()
     lo7, hi7 = tait_won_bounds(7)
     lo6, hi6 = tait_won_bounds(6)
     max7 = table7.max_size()
@@ -724,12 +709,12 @@ def check_size_bounds(table7: ClassTable, table6: ClassTable) -> ClaimResult:
         "max7": max7,
         "max6": max6,
     }
-    return _timed_claim("size-bounds", passed, witness, started)
+    return passed, witness
 
 
-def check_toy_oracle(dims: Sequence[int] = DEFAULT_TOY_DIMS) -> ClaimResult:
+@_claim("toy-scale-oracle")
+def check_toy_oracle(dims: Sequence[int] = DEFAULT_TOY_DIMS) -> tuple[bool, dict]:
     """classify agrees with the exhaustive orbit oracle in toy dimensions."""
-    started = time.perf_counter()
     mismatches = []
     witness: dict = {}
     for dim in dims:
@@ -741,7 +726,7 @@ def check_toy_oracle(dims: Sequence[int] = DEFAULT_TOY_DIMS) -> ClaimResult:
             if cls.get(size, 0) != oracle.get(size, 0):
                 mismatches.append(f"dim {dim} size {size}: classify {cls.get(size, 0)} vs oracle {oracle.get(size, 0)}")
         witness[f"dim{dim}"] = {"classify": cls, "oracle": oracle}
-    return _timed_claim("toy-scale-oracle", not mismatches, dict(witness, mismatches=mismatches), started)
+    return not mismatches, dict(witness, mismatches=mismatches)
 
 
 def verify_paper(

@@ -6,7 +6,8 @@ character is coordinate 1 (bit 0).  Rendered files list points in
 ascending integer order with LF endings; duplicate lines are rejected.
 
 Exit codes: 0 success, 1 claim failure or failed internal check, 2 usage
-error, 3 parse error.
+error (an unknown label, or a cap too large for an exact computation),
+3 parse error.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .classifier import (
 )
 from .decomp import type_census
 from .equivalence import are_equivalent, find_isomorphism
-from .errors import CapError, CapFileError, InvariantError, NotACapError, UnknownLabelError
+from .errors import CapError, CapFileError, InvariantError, NotACapError, TooLargeError, UnknownLabelError
 from .gf2 import MAX_DIM, Point, PointSet, affine_dim
 from .templates import LABELS, instantiate
 
@@ -73,20 +74,18 @@ def _read_points(path: str) -> PointSet:
 
 
 def _check_payload(s: PointSet) -> dict:
-    payload: dict = {"size": len(s), "dim": affine_dim(s)}
-    quad = find_quad(s)
-    if quad is not None:
-        payload["is_cap"] = False
-        payload["quad"] = [p.to_bits() for p in quad]
-        return payload
-    cap = Cap(s)
-    payload["is_cap"] = True
-    payload["complete"] = is_complete(cap)
-    if cap.size <= _CENSUS_LIMIT:
-        payload["census"] = sorted(str(t) for t in type_census(cap))
-    else:
-        payload["census"] = None
-    return payload
+    try:
+        cap = Cap(s)
+    except NotACapError:
+        quad = find_quad(s)
+        return {"size": len(s), "dim": affine_dim(s), "is_cap": False, "quad": [p.to_bits() for p in quad]}
+    return {
+        "size": cap.size,
+        "dim": cap.dim,
+        "is_cap": True,
+        "complete": is_complete(cap),
+        "census": sorted(str(t) for t in type_census(cap)) if cap.size <= _CENSUS_LIMIT else None,
+    }
 
 
 def _table_payload(table: ClassTable) -> dict:
@@ -118,12 +117,7 @@ def _trial_count(text: str) -> int:
 
 
 def _cmd_template(args: argparse.Namespace) -> int:
-    try:
-        cap = instantiate(args.label)
-    except UnknownLabelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    sys.stdout.write(render_capfile(cap.points))
+    sys.stdout.write(render_capfile(instantiate(args.label).points))
     return 0
 
 
@@ -238,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except UnknownLabelError as exc:
+    except (UnknownLabelError, TooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantError as exc:

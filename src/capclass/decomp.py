@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 from .capset import Cap
 from .errors import (
     BadIndexError,
+    DependentBasisError,
     ExchangeHypothesisViolated,
     InvalidBasisError,
     InvariantError,
@@ -186,7 +187,7 @@ def decompose(source: Cap | PointSet, basis: Sequence[Point] | None = None) -> B
     basis_masks = [p.mask for p in chosen]
     try:
         solver = _support_solver(basis_masks)
-    except Exception as exc:
+    except DependentBasisError as exc:
         raise InvalidBasisError("basis is affinely dependent") from exc
     in_basis = set(basis_masks)
     deps: list[tuple[Point, int]] = []
@@ -223,7 +224,9 @@ def exchange_basis(dec: BasisDecomposition, a: Point, x: Point) -> BasisDecompos
     other dependent (the partner).  The recomputed supports are checked
     against their closed forms: the new support of a is
     (B_x \\ {a}) | {x}, the partner's becomes (B_partner ^ B_x) | {x},
-    and every other support is unchanged.
+    and every other support is unchanged.  As position masks, with x
+    taking a's position, a gets B_x, the partner (B_partner ^ B_x) | bit(a),
+    and every other dependent keeps its mask.
     """
     basis_masks = dec.basis_masks()
     try:
@@ -231,39 +234,28 @@ def exchange_basis(dec: BasisDecomposition, a: Point, x: Point) -> BasisDecompos
     except ValueError:
         raise ExchangeHypothesisViolated("a is not a basis point") from None
     abit = 1 << apos
-    x_idx = None
-    holders = []
-    for i, (p, sup) in enumerate(dec.dependents):
-        if p.mask == x.mask:
-            x_idx = i
-        if sup & abit:
-            holders.append(i)
-    if x_idx is None:
+    old = {p.mask: sup for p, sup in dec.dependents}
+    if x.mask not in old:
         raise ExchangeHypothesisViolated("x is not a dependent point")
-    if x_idx not in holders:
+    bx = old[x.mask]
+    if not bx & abit:
         raise ExchangeHypothesisViolated("a is not in the support of x")
-    others = [i for i in holders if i != x_idx]
-    if len(others) > 1:
+    if sum(1 for sup in old.values() if sup & abit) > 2:
         raise ExchangeHypothesisViolated("a lies in the supports of two or more other dependents")
-    partner_idx = others[0] if others else None
 
     new_basis = list(dec.basis)
     new_basis[apos] = x
     result = decompose(dec.points, new_basis)
 
     # runtime check of the exchange theorem's closed-form predictions
-    old_support_pts = {p.mask: {b.mask for b in dec.support_points(i)} for i, (p, _) in enumerate(dec.dependents)}
-    x_support_pts = old_support_pts[x.mask]
-    predicted_a = (x_support_pts - {a.mask}) | {x.mask}
-    for i, (p, _) in enumerate(result.dependents):
-        new_pts = {b.mask for b in result.support_points(i)}
+    for p, sup in result.dependents:
         if p.mask == a.mask:
-            expected = predicted_a
-        elif partner_idx is not None and p.mask == dec.dependents[partner_idx][0].mask:
-            expected = (old_support_pts[p.mask] ^ x_support_pts) | {x.mask}
+            expected = bx
+        elif old[p.mask] & abit:
+            expected = (old[p.mask] ^ bx) | abit
         else:
-            expected = old_support_pts[p.mask]
-        if new_pts != expected:
+            expected = old[p.mask]
+        if sup != expected:
             raise InvariantError(f"exchange prediction failed for dependent {p.mask}")
     return result
 

@@ -65,41 +65,25 @@ def _min_column_form(
     best_masks: tuple[int, ...] | None = None
     best_order: tuple[int, ...] | None = None
 
-    def finalize(order: tuple[int, ...], avail: int, done: tuple[int, ...]) -> None:
-        nonlocal best_masks, best_order
-        if best_masks is None or done < best_masks:
-            best_masks = done
-            best_order = order + tuple(_columns_of(avail))
-
     def rec(
         order: tuple[int, ...],
         avail: int,
         partial: tuple[int, ...],
         remaining: tuple[int, ...],
-        done: tuple[int, ...],
     ) -> None:
+        nonlocal best_masks, best_order
         pos = len(order)
-        nd = len(done)
-        if best_masks is not None:
-            prefix = best_masks[:nd]
-            if done > prefix:
-                return
-            if done == prefix:
-                if nd == r:
-                    return
-                # the next mask to finish is at least the best unfinished
-                # support's partial with its leftover bits packed low
-                nxt = None
-                for s in range(r):
-                    rem = remaining[s]
-                    if rem:
-                        lb = partial[s] | (((1 << rem) - 1) << pos)
-                        if nxt is None or lb < nxt:
-                            nxt = lb
-                if best_masks[nd] < nxt:
-                    return
-        if nd == r:
-            finalize(order, avail, done)
+        # each support finishes at or above its partial with its leftover
+        # bits packed low; a finished support's bound is its mask, which is
+        # below every unfinished one, so the sorted bounds bound every
+        # completion and a branch that cannot beat the incumbent is cut
+        lbs = [p | ((1 << rem) - 1) << pos for p, rem in zip(partial, remaining)]
+        bound = tuple(sorted(lbs))
+        if best_masks is not None and bound >= best_masks:
+            return
+        if not any(remaining):
+            # past the cut, a finished order beats the incumbent
+            best_masks, best_order = bound, order + tuple(_columns_of(avail))
             return
         seen: set[int] = set()
         scored = []
@@ -112,36 +96,20 @@ def _min_column_form(
             if sig == 0 or sig in seen:
                 continue
             seen.add(sig)
-            score = None
-            for s in range(r):
-                if sig >> s & 1:
-                    rem = remaining[s]
-                    key = (partial[s] | (((1 << rem) - 1) << pos), rem)
-                    if score is None or key < score:
-                        score = key
+            score = min((lbs[s], remaining[s]) for s in range(r) if sig >> s & 1)
             scored.append((score, c, sig))
         scored.sort()
         bit = 1 << pos
         for _, c, sig in scored:
             new_partial = list(partial)
             new_remaining = list(remaining)
-            new_done = list(done)
             for s in range(r):
                 if sig >> s & 1:
                     new_partial[s] |= bit
                     new_remaining[s] -= 1
-                    if new_remaining[s] == 0:
-                        new_done.append(new_partial[s])
-            new_done.sort()
-            rec(
-                order + (c,),
-                avail ^ (1 << c),
-                tuple(new_partial),
-                tuple(new_remaining),
-                tuple(new_done),
-            )
+            rec(order + (c,), avail ^ (1 << c), tuple(new_partial), tuple(new_remaining))
 
-    rec((), (1 << ncols) - 1, (0,) * r, tuple(s.bit_count() for s in sups), ())
+    rec((), (1 << ncols) - 1, (0,) * r, tuple(s.bit_count() for s in sups))
     if best_masks is None or best_order is None:
         raise InvariantError(f"no column order finalised the supports {sups}")
     return best_masks, best_order

@@ -6,10 +6,12 @@ import pytest
 from capclass import classifier
 from capclass.capset import is_cap
 from capclass.classifier import (
+    ClaimResult,
     brute_force_class_counts,
     check_exchange_contract,
     check_higherdim_pair,
     check_invariance_fuzz,
+    check_size_bounds,
     check_template_validity,
     classify,
     max_cap_size,
@@ -202,6 +204,27 @@ class TestClaims:
         monkeypatch.setattr(classifier, "classify", refuse)
         with pytest.raises(ValueError, match=f"{name} must be at least 0"):
             verify_paper(**{name: -1})
+
+    def test_directly_called_check_is_a_timed_claim(self):
+        # tracing wraps each check_* global and names its phase by the claim id
+        res = check_size_bounds(classify(7, 13), classify(6, 10))
+        assert isinstance(res, ClaimResult)
+        assert res.claim_id == "size-bounds"
+        assert res.passed
+        assert isinstance(res.elapsed_s, float) and res.elapsed_s >= 0.0
+
+    def test_verify_paper_calls_the_checks_through_module_globals(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        original = classifier.check_dim6_counts
+        monkeypatch.setattr(classifier, "check_dim6_counts", spy)
+        report = verify_paper(invariance_trials=0, exchange_trials=0, toy_dims=(1,))
+        assert len(calls) == 1
+        assert report.claims[2].claim_id == "dim6-classification-counts"
 
     def test_verify_paper_report_shape(self):
         report = verify_paper(invariance_trials=3, exchange_trials=30, toy_dims=(1, 2))

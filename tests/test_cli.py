@@ -181,6 +181,16 @@ class TestEquivCommand:
         assert code == 1
         assert "canonical bases disagree" in err
 
+    def test_cap_too_large_to_compare_exits_2(self, tmp_path, capsys):
+        # 0 and the unit vectors of AG(14,2): an independent 15-point cap,
+        # which parses fine but is past the 14-point canonical-form limit
+        wide = tmp_path / "wide.cap"
+        wide.write_text(render_capfile(PointSet(14, [0] + [1 << i for i in range(14)])))
+        code, out, err = run(capsys, "equiv", str(wide), str(wide))
+        assert code == 2
+        assert out == ""
+        assert "limited to 14 points" in err
+
     def test_non_cap_input_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.cap"
         bad.write_text("capfile v1 n=3\n000\n100\n010\n110\n")

@@ -248,6 +248,18 @@ sys.exit("exchange_basis accepted a wrong support")
         assert done.returncode == 0, done.stderr
         assert "exchange prediction failed" in done.stdout
 
+    # dependents of the worked example in ascending point order: the partner
+    # a1+..+a7 (the other holder of a3), x = y, and z, which lacks a3
+    @pytest.mark.parametrize("which, flip", [(0, 1 << 7), (1, 1 << 6)], ids=["partner", "x"])
+    def test_wrong_partner_or_x_support_raises(self, which, flip):
+        dec, y = self.worked_example()
+        deps = list(dec.dependents)
+        assert [p.mask for p, _ in deps] == [63, y, 0 ^ 1 ^ 8 ^ 16 ^ 64]
+        deps[which] = (deps[which][0], deps[which][1] ^ flip)
+        wrong = decomp.BasisDecomposition(dec.points, dec.basis, tuple(deps))
+        with pytest.raises(InvariantError, match="exchange prediction failed"):
+            exchange_basis(wrong, Point(2, 7), Point(y, 7))
+
 
 def scan_oracle(cap):
     """Every basis subset in ascending index order, with the supports decompose gives it."""
