@@ -95,10 +95,6 @@ class Cap:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Cap is immutable")
 
-    @classmethod
-    def from_masks(cls, n: int, masks: Sequence[int]) -> Cap:
-        return cls(PointSet(n, masks))
-
     @property
     def n(self) -> int:
         return self.points.n

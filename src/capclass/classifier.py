@@ -88,10 +88,10 @@ def _make_entry(cap: Cap, form: CanonicalForm) -> ClassEntry:
 def classify(dim: int, max_size: int) -> ClassTable:
     """Classify the full-dimensional caps of AG(dim,2) up to affine equivalence.
 
-    Rows run from size dim+1 upward; generation stops at the first size
-    with no caps (kept as an explicit empty row) or at max_size.  Output
-    is deterministic: candidates are tried in ascending mask order and
-    each row is sorted by canonical form.
+    Rows run from size dim+1 upward, so max_size must exceed dim;
+    generation stops at the first size with no caps (kept as an explicit
+    empty row) or at max_size.  Output is deterministic: candidates are
+    tried in ascending mask order and each row is sorted by canonical form.
     """
     if dim > _MAX_CLASSIFY_DIM:
         raise DimensionOverflowError(f"classification supports dim <= {_MAX_CLASSIFY_DIM}")
@@ -99,8 +99,8 @@ def classify(dim: int, max_size: int) -> ClassTable:
         raise ValueError("dimension must be at least 1")
     if max_size > _MAX_CLASSIFY_SIZE:
         raise TooLargeError(f"classification is desk-scale: max_size <= {_MAX_CLASSIFY_SIZE}")
-    if max_size < 1:
-        raise ValueError("max_size must be at least 1")
+    if max_size <= dim:
+        raise ValueError(f"max_size must exceed dim, got {max_size} <= {dim}")
 
     frame = Cap(PointSet(dim, (0,) + tuple(1 << i for i in range(dim))))
     rows: dict[int, tuple[ClassEntry, ...]] = {}
@@ -124,8 +124,6 @@ def classify(dim: int, max_size: int) -> ClassTable:
 
 def max_cap_size(dim: int) -> int:
     """Largest size with a non-empty classification row (desk-scale, dim <= 8)."""
-    if dim > _MAX_CLASSIFY_DIM:
-        raise DimensionOverflowError(f"supported only for dim <= {_MAX_CLASSIFY_DIM}")
     return classify(dim, _MAX_CLASSIFY_SIZE).max_size()
 
 
@@ -208,75 +206,6 @@ def brute_force_class_counts(dim: int) -> dict[int, int]:
                 for p in image:
                     seen.add(frozenset(q ^ p for q in image))
     return counts
-
-
-# ---------------------------------------------------------------------------
-# Structural refutation of a 13th cap point
-
-
-def thirteen_cap_pair_survey() -> list[dict]:
-    """Inclusion-exclusion verdict for every conceivable 13-point structure.
-
-    A 13-point cap of dimension 7 would decompose into an 8-point basis
-    and five dependents, each supported by exactly five basis points,
-    with pairwise support intersections of size 2 or 3.  For each of the
-    2^10 intersection-size patterns this derives the triple and
-    quadruple intersection sizes, filters the patterns ruled out by the
-    triple and quadruple theorems, and evaluates the five-fold
-    intersection two ways: by inclusion-exclusion over the 8 basis
-    points and by containment in the smallest quadruple intersection.
-    No pattern survives both.
-    """
-    deps = range(5)
-    pair_keys = list(combinations(deps, 2))
-    results = []
-    for bits in range(1 << len(pair_keys)):
-        p = {key: (2 if bits >> i & 1 else 3) for i, key in enumerate(pair_keys)}
-
-        def pair(i: int, j: int) -> int:
-            return p[(i, j) if i < j else (j, i)]
-
-        triples = {
-            t: pair(t[0], t[1]) + pair(t[0], t[2]) + pair(t[1], t[2]) - 7
-            for t in combinations(deps, 3)
-        }
-        # at most one pair of size 2 within any triple of dependents
-        triples_ok = all(
-            sum(1 for a, b in combinations(t, 2) if pair(a, b) == 2) <= 1
-            for t in triples
-        )
-        quads = {}
-        for q in combinations(deps, 4):
-            sum_pairs = sum(pair(a, b) for a, b in combinations(q, 2))
-            sum_triples = sum(triples[t] for t in combinations(q, 3))
-            quads[q] = 20 - sum_pairs + sum_triples - 8
-        # every quadruple of dependents must contain a pair of size 2
-        quads_ok = all(
-            any(pair(a, b) == 2 for a, b in combinations(q, 2)) for q in quads
-        )
-        survives = triples_ok and quads_ok
-        inclusion_exclusion = (
-            8 - 25 + sum(p.values()) - sum(triples.values()) + sum(quads.values())
-        )
-        containment_bound = min(quads.values())
-        results.append(
-            {
-                "pairs": tuple(p[key] for key in pair_keys),
-                "survives_lemmas": survives,
-                "five_fold_by_inclusion_exclusion": inclusion_exclusion,
-                "five_fold_upper_bound": containment_bound,
-                "consistent": survives
-                and 0 <= inclusion_exclusion <= containment_bound,
-            }
-        )
-    return results
-
-
-def no_thirteen_cap_structure() -> bool:
-    """True iff every surviving 13-point pattern is self-contradictory."""
-    survey = thirteen_cap_pair_survey()
-    survivors = [row for row in survey if row["survives_lemmas"]]
-    return bool(survivors) and all(not row["consistent"] for row in survivors)
 
 
 # ---------------------------------------------------------------------------

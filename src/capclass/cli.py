@@ -6,8 +6,9 @@ character is coordinate 1 (bit 0).  Rendered files list points in
 ascending integer order with LF endings; duplicate lines are rejected.
 
 Exit codes: 0 success, 1 claim failure or failed internal check, 2 usage
-error (an unknown label, or a cap too large for an exact computation),
-3 parse error.
+error (an unknown label, a classify size outside dim+1..14, or a cap too
+large for an exact computation), 3 parse error (including a header not
+exactly ``capfile v1 n=<n>``).
 """
 
 from __future__ import annotations
@@ -51,6 +52,9 @@ def parse_capfile(text: str) -> PointSet:
         n = int(header[len("capfile v1 n="):])
     except ValueError:
         raise CapFileError(f"bad dimension in header {header!r}") from None
+    # only the form render_capfile writes: no sign, padding, spaces or non-ASCII digits
+    if header != f"capfile v1 n={n}":
+        raise CapFileError(f"bad header {header!r}")
     if not 1 <= n <= MAX_DIM:
         raise CapFileError(f"dimension {n} out of range 1..{MAX_DIM}")
     masks = []
@@ -212,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dim", type=int, choices=range(1, _MAX_CLASSIFY_DIM + 1), metavar="dim",
                    help=f"ambient dimension, 1..{_MAX_CLASSIFY_DIM}")
     p.add_argument("max_size", type=int, choices=range(1, _MAX_CLASSIFY_SIZE + 1), metavar="max_size",
-                   help=f"largest cap size to classify, 1..{_MAX_CLASSIFY_SIZE}")
+                   help=f"largest cap size to classify, dim+1..{_MAX_CLASSIFY_SIZE}")
     p.add_argument("--out", help="directory for one cap file per representative")
     p.set_defaults(func=_cmd_classify)
 
@@ -227,6 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "classify" and args.max_size <= args.dim:
+        parser.error(f"classify: max_size must exceed dim, got {args.max_size} <= {args.dim}")
     try:
         return args.func(args)
     except CapFileError as exc:

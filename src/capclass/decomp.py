@@ -152,13 +152,6 @@ class BasisDecomposition:
             raise BadIndexError(f"dependent index {i} out of range")
         return self.dependents[i][1]
 
-    def support_points(self, i: int) -> tuple[Point, ...]:
-        mask = self.support(i)
-        return tuple(b for pos, b in enumerate(self.basis) if mask >> pos & 1)
-
-    def dependent_points(self) -> tuple[Point, ...]:
-        return tuple(p for p, _ in self.dependents)
-
     def support_masks(self) -> tuple[int, ...]:
         return tuple(m for _, m in self.dependents)
 

@@ -165,13 +165,8 @@ def _normalize_columns(
 def _minimal_form_for_supports(
     sups: tuple[int, ...], ncols: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # one or two supports have closed-form minima: pack the smaller
-    # support into the low positions, its intersection with the other
-    # lowest of all
-    if len(sups) == 1:
-        cols = _columns_of(sups[0])
-        rest = [c for c in range(ncols) if not sups[0] >> c & 1]
-        return ((1 << len(cols)) - 1,), tuple(cols + rest)
+    # two supports have a closed-form minimum: pack the smaller support
+    # into the low positions, its intersection with the other lowest of all
     if len(sups) == 2:
         a, b = sups
         if (a.bit_count(), a) > (b.bit_count(), b):
@@ -214,8 +209,6 @@ def _canonical_scan(c: Cap) -> tuple[CanonicalForm, tuple[int, ...]]:
         raise TooLargeError(f"canonical form is limited to {_SIZE_LIMIT} points, got {c.size}")
     masks = c.sorted_masks()
     bc = c.dim + 1
-    if c.size == bc:
-        return CanonicalForm(c.dim, c.size, ()), masks
     best_form: tuple[int, ...] | None = None
     best_basis: tuple[int, ...] | None = None
     for subset, sups in _basis_scan(masks, bc):

@@ -15,15 +15,13 @@ from capclass.classifier import (
     check_template_validity,
     classify,
     max_cap_size,
-    no_thirteen_cap_structure,
     tait_won_bounds,
-    thirteen_cap_pair_survey,
     verify_paper,
 )
 from capclass.equivalence import are_equivalent, canonical_form
 from capclass.errors import DimensionOverflowError, TooLargeError
 
-from oracles import has_quad, max_cap_size_exhaustive
+from oracles import has_quad, max_cap_size_exhaustive, no_thirteen_cap_structure, thirteen_cap_pair_survey
 
 CLAIM_IDS = [
     "template-validity",
@@ -107,7 +105,7 @@ class TestClassify:
         with pytest.raises(DimensionOverflowError):
             classify(9, 10)
 
-    @pytest.mark.parametrize("max_size", [0, -3])
+    @pytest.mark.parametrize("max_size", [0, -3, 3, 7])
     def test_size_guard(self, max_size):
         with pytest.raises(ValueError):
             classify(7, max_size)

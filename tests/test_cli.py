@@ -40,6 +40,16 @@ class TestCapFileFormat:
         with pytest.raises(CapFileError):
             parse_capfile("points v1 n=3\n110\n")
 
+    @pytest.mark.parametrize(
+        "header, point",
+        [("capfile v1 n= 3", "110"), ("capfile v1 n=+3", "110"), ("capfile v1 n=3 ", "110"),
+         ("capfile v1 n=0_3", "110"), ("capfile v1 n=\u0663", "110"), ("capfile v1 n=07", "1100000")],
+    )
+    def test_header_dimension_not_as_rendered(self, header, point):
+        # each point line fits the dimension the header names, so only the header is at fault
+        with pytest.raises(CapFileError, match="header"):
+            parse_capfile(f"{header}\n{point}\n")
+
     def test_bad_line_length(self):
         with pytest.raises(CapFileError):
             parse_capfile("capfile v1 n=3\n1100\n")
@@ -223,6 +233,16 @@ class TestClassifyCommand:
             main(["classify", dim, max_size])
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dim, max_size", [("7", "3"), ("7", "7"), ("1", "1")])
+    def test_size_not_above_dim_exits_2(self, capsys, dim, max_size):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", dim, max_size])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "max_size must exceed dim" in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestVerifyPaperCommand:

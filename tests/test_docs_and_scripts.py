@@ -1,0 +1,39 @@
+"""The README's library tour and the bundled script run as documented."""
+
+import contextlib
+import io
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_run_classification_script_outside_the_repo_root(tmp_path):
+    # no PYTHONPATH: the script must find the package from its own location
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_classification.py"), "3", "6"],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "counts: {4: 1, 5: 0}" in done.stdout.splitlines()
+
+
+def test_readme_library_tour_prints_what_its_comments_say():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library tour", 1)[1]
+    code = re.search(r"```python\n(.*?)```", tour, re.S).group(1)
+    expected = [
+        line.split("#", 1)[1].strip() for line in code.splitlines() if line.startswith("print(")
+    ]
+    assert len(expected) == 3
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    assert out.getvalue().splitlines() == expected

@@ -199,6 +199,16 @@ class TestMinimalFormAgainstAllColumnOrders:
             assert tuple(sorted(relabel(s, order) for s in sups)) == masks
             assert masks == brute_force_min_form(sups, ncols), (sups, ncols)
 
+    def test_single_support_packs_its_columns_first(self):
+        # one support: the minimum is its columns packed low, and the order
+        # takes its columns ascending, then the rest ascending
+        for ncols in range(1, 9):
+            for sup in range(1, 1 << ncols):
+                cols = [c for c in range(ncols) if sup >> c & 1]
+                rest = [c for c in range(ncols) if not sup >> c & 1]
+                want = (((1 << len(cols)) - 1,), tuple(cols + rest))
+                assert _minimal_form_for_supports((sup,), ncols) == want, (sup, ncols)
+
 
 def test_form_caches_stay_bounded(monkeypatch):
     caps = [image_cap(instantiate(label), seed) for label in ("T11_555_332", "T11_755_443") for seed in (1, 2)]
