@@ -13,7 +13,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from capclass.classifier import classify, tait_won_bounds
+from capclass.classifier import _census_payload, classify, tait_won_bounds
 from capclass.gf2 import Point
 
 
@@ -34,7 +34,7 @@ def main() -> None:
         print(f"size {size}: {len(entries)} class(es)")
         for i, entry in enumerate(entries):
             points = " ".join(Point(m, entry.cap.n).to_bits() for m in entry.cap.sorted_masks())
-            census = sorted(str(t) for t in entry.census) if entry.census else []
+            census = _census_payload(entry.census) or []
             flag = "complete" if entry.complete else "extendable"
             print(f"  class {i} ({flag})")
             print(f"    points: {points}")

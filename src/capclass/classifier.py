@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import combinations
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from .capset import Cap, extension_candidates, is_cap, is_complete, quad_closure_1
 from .decomp import (
@@ -24,6 +24,7 @@ from .decomp import (
     BasisDecomposition,
     ExtendedType,
     _basis_scan,
+    _raw_type,
     decompose,
     exchange_basis,
     extended_type,
@@ -36,6 +37,7 @@ from .gf2 import (
     PointSet,
     XorBasis,
     _affine_rank,
+    _columns_of,
     affine_span,
     apply_affine_map,
     random_invertible_affine,
@@ -258,6 +260,10 @@ def _map_payload(t) -> dict:
     }
 
 
+def _census_payload(census: frozenset[ExtendedType] | None) -> list[str] | None:
+    return None if census is None else sorted(str(t) for t in census)
+
+
 def _claim(claim_id: str) -> Callable[[Callable[..., tuple[bool, dict]]], Callable[..., ClaimResult]]:
     """Turn a check body returning (passed, witness) into a timed claim of this id."""
 
@@ -411,9 +417,9 @@ def check_census_theorems(table7: ClassTable) -> tuple[bool, dict]:
             problems.append("size-12 census misses 5-5-5-5-(2,3,3,3,3,3)")
 
     witness = {
-        "size10": [sorted(str(t) for t in c) for c in ten],
-        "size11": [sorted(str(t) for t in entry.census) for entry in table7.entries(11)],
-        "size12": [sorted(str(t) for t in entry.census) for entry in table7.entries(12)],
+        "size10": [_census_payload(c) for c in ten],
+        "size11": [_census_payload(entry.census) for entry in table7.entries(11)],
+        "size12": [_census_payload(entry.census) for entry in table7.entries(12)],
     }
     return not problems, dict(witness, problems=problems)
 
@@ -424,50 +430,39 @@ def _require_trial_count(name: str, count: int) -> None:
 
 
 @_claim("exchange-contract")
-def check_exchange_contract(
-    table7: ClassTable,
-    trials: int = DEFAULT_EXCHANGE_TRIALS,
-    seed: int = DEFAULT_EXCHANGE_SEED,
-) -> tuple[bool, dict]:
+def check_exchange_contract(table7: ClassTable, trials: int = DEFAULT_EXCHANGE_TRIALS) -> tuple[bool, dict]:
     """Random exchanges match their closed-form support predictions."""
     _require_trial_count("trials", trials)
-    rng = random.Random(seed)
+    rng = random.Random(DEFAULT_EXCHANGE_SEED)
+    # per cap, per basis: the decomposition and its (basis position, dependent) moves
     pool = []
     for size in (9, 10, 11, 12):
         for entry in table7.entries(size):
             cap, masks = entry.cap, entry.cap.sorted_masks()
-            pool.append((cap, tuple(Point(m, cap.n) for m in masks), _basis_scan(masks, cap.dim + 1)))
-    performed = 0
+            points = tuple(Point(m, cap.n) for m in masks)
+            moves = []
+            for subset, sups in _basis_scan(masks, cap.dim + 1):
+                # the scan's supports are decompose's for this basis: dependents
+                # in ascending point order, bit pos = subset[pos]
+                deps = tuple(zip((p for i, p in enumerate(points) if i not in subset), sups))
+                dec = BasisDecomposition(cap.points, tuple(points[i] for i in subset), deps)
+                # a basis point may go to a dependent holding it when at most
+                # one other dependent holds it too
+                holders = [sum(s >> pos & 1 for s in sups) for pos in range(len(subset))]
+                valid = [(pos, i) for i, s in enumerate(sups) for pos in _columns_of(s) if holders[pos] <= 2]
+                if not valid:
+                    raise InvariantError(f"no exchange is admissible at basis {subset} of a {cap.size}-cap")
+                moves.append((dec, valid))
+            pool.append(moves)
     failures = 0
-    attempts = 0
-    while performed < trials and attempts < trials * 20:
-        attempts += 1
-        cap, points, bases = pool[rng.randrange(len(pool))]
-        subset, sups = bases[rng.randrange(len(bases))]
-        # the scan's supports are decompose's for this basis: dependents in
-        # ascending point order, bit pos = subset[pos]
-        dec = BasisDecomposition(
-            cap.points,
-            tuple(points[i] for i in subset),
-            tuple(zip((p for i, p in enumerate(points) if i not in subset), sups)),
-        )
-        # a basis point may go to a dependent holding it when at most one
-        # other dependent holds it too
-        holders = [sum(s >> pos & 1 for s in sups) for pos in range(len(subset))]
-        valid = [
-            (pos, i)
-            for i, s in enumerate(sups)
-            for pos in range(len(subset))
-            if s >> pos & 1 and holders[pos] <= 2
-        ]
-        if not valid:
-            continue
+    for _ in range(trials):
+        bases = pool[rng.randrange(len(pool))]
+        dec, valid = bases[rng.randrange(len(bases))]
         pos, i = valid[rng.randrange(len(valid))]
         try:
             exchange_basis(dec, dec.basis[pos], dec.dependents[i][0])
         except InvariantError:
             failures += 1
-        performed += 1
 
     # the worked example: an 11-point set of basis type 7-5-5-(4,4,3) turns
     # into 5-5-5-(2,3,3) by swapping a3 with its second dependent
@@ -486,9 +481,9 @@ def check_exchange_contract(
     swapped10 = exchange_basis(dec10, Point(4, 7), Point(124, 7))
     ten_ok = extended_type(swapped10) == ExtendedType((5, 5), (2,))
 
-    passed = failures == 0 and performed == trials and example_ok and ten_ok
+    passed = failures == 0 and example_ok and ten_ok
     witness = {
-        "trials": performed,
+        "trials": trials,
         "failures": failures,
         "worked_example": {"before": str(before), "after": str(after)},
         "seven_five_exchange": str(extended_type(swapped10)),
@@ -501,27 +496,24 @@ def _lemma_violations(cap: Cap) -> list[str]:
     masks = cap.sorted_masks()
     out = []
     for subset, sups in _basis_scan(masks, cap.dim + 1):
-        sizes = [s.bit_count() for s in sups]
+        sizes, pairs = _raw_type(sups)
         r = len(sups)
+        inter = dict(zip(combinations(range(r), 2), pairs))
         if any(size not in (5, 7) for size in sizes):
             out.append(f"support size outside {{5,7}} at basis {subset}")
         if sizes.count(7) > 1:
             out.append(f"two size-7 supports at basis {subset}")
-        for i in range(r):
-            for j in range(i + 1, r):
-                inter = (sups[i] & sups[j]).bit_count()
-                if sizes[i] == 5 and sizes[j] == 5 and inter not in (2, 3):
-                    out.append(f"5-5 intersection {inter} at basis {subset}")
-                if {sizes[i], sizes[j]} == {5, 7} and inter != 4:
-                    out.append(f"7-5 intersection {inter} at basis {subset}")
+        for (i, j), p in inter.items():
+            if sizes[i] == 5 and sizes[j] == 5 and p not in (2, 3):
+                out.append(f"5-5 intersection {p} at basis {subset}")
+            if {sizes[i], sizes[j]} == {5, 7} and p != 4:
+                out.append(f"7-5 intersection {p} at basis {subset}")
         for i, j, k in combinations(range(r), 3):
             union = (sups[i] | sups[j] | sups[k]).bit_count()
             if union != 8:
                 out.append(f"triple union {union} at basis {subset}")
             if sizes[i] == sizes[j] == sizes[k] == 5:
-                pij = (sups[i] & sups[j]).bit_count()
-                pik = (sups[i] & sups[k]).bit_count()
-                pjk = (sups[j] & sups[k]).bit_count()
+                pij, pik, pjk = inter[i, j], inter[i, k], inter[j, k]
                 triple = (sups[i] & sups[j] & sups[k]).bit_count()
                 if triple != pij + pik + pjk - 7:
                     out.append(f"triple intersection identity at basis {subset}")
@@ -530,11 +522,7 @@ def _lemma_violations(cap: Cap) -> list[str]:
         for quad in combinations(range(r), 4):
             if any(sizes[i] != 5 for i in quad):
                 continue
-            pair_twos = [
-                (i, j)
-                for i, j in combinations(quad, 2)
-                if (sups[i] & sups[j]).bit_count() == 2
-            ]
+            pair_twos = [pair for pair in combinations(quad, 2) if inter[pair] == 2]
             if not pair_twos:
                 out.append(f"all-3 quadruple at basis {subset}")
                 continue
@@ -542,9 +530,7 @@ def _lemma_violations(cap: Cap) -> list[str]:
                 out.append(f"three 2-intersections in a quadruple at basis {subset}")
             if len(pair_twos) == 2 and set(pair_twos[0]) & set(pair_twos[1]):
                 out.append(f"overlapping 2-pairs at basis {subset}")
-            four_fold = sups[quad[0]]
-            for i in quad[1:]:
-                four_fold &= sups[i]
+            four_fold = sups[quad[0]] & sups[quad[1]] & sups[quad[2]] & sups[quad[3]]
             expected = 1 if len(pair_twos) == 1 else 0
             if four_fold.bit_count() != expected:
                 out.append(f"quadruple intersection {four_fold.bit_count()} at basis {subset}")
@@ -642,11 +628,11 @@ def check_size_bounds(table7: ClassTable, table6: ClassTable) -> tuple[bool, dic
 
 
 @_claim("toy-scale-oracle")
-def check_toy_oracle(dims: Sequence[int] = DEFAULT_TOY_DIMS) -> tuple[bool, dict]:
+def check_toy_oracle() -> tuple[bool, dict]:
     """classify agrees with the exhaustive orbit oracle in toy dimensions."""
     mismatches = []
     witness: dict = {}
-    for dim in dims:
+    for dim in DEFAULT_TOY_DIMS:
         oracle = brute_force_class_counts(dim)
         table = classify(dim, _MAX_CLASSIFY_SIZE)
         cls = table.counts()
@@ -662,7 +648,6 @@ def verify_paper(
     *,
     invariance_trials: int = DEFAULT_INVARIANCE_TRIALS,
     exchange_trials: int = DEFAULT_EXCHANGE_TRIALS,
-    toy_dims: Sequence[int] = DEFAULT_TOY_DIMS,
 ) -> VerificationReport:
     """Re-derive the classification and check every claim, returning the report."""
     _require_trial_count("invariance_trials", invariance_trials)
@@ -681,6 +666,6 @@ def verify_paper(
         check_invariance_fuzz(trials_per_template=invariance_trials),
         check_higherdim_pair(),
         check_size_bounds(table7, table6),
-        check_toy_oracle(toy_dims),
+        check_toy_oracle(),
     )
     return VerificationReport(claims)

@@ -8,13 +8,14 @@ ascending integer order with LF endings; duplicate lines are rejected.
 Exit codes: 0 success, 1 claim failure or failed internal check, 2 usage
 error (an unknown label, a classify size outside dim+1..14, or a cap too
 large for an exact computation), 3 parse error (including a header not
-exactly ``capfile v1 n=<n>``).
+exactly ``capfile v1 n=<n>``), 141 stdout closed early (128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from .classifier import (
     _MAX_CLASSIFY_DIM,
     _MAX_CLASSIFY_SIZE,
     ClassTable,
+    _census_payload,
     _map_payload,
     classify,
     verify_paper,
@@ -88,7 +90,7 @@ def _check_payload(s: PointSet) -> dict:
         "dim": cap.dim,
         "is_cap": True,
         "complete": is_complete(cap),
-        "census": sorted(str(t) for t in type_census(cap)) if cap.size <= _CENSUS_LIMIT else None,
+        "census": _census_payload(type_census(cap) if cap.size <= _CENSUS_LIMIT else None),
     }
 
 
@@ -101,7 +103,7 @@ def _table_payload(table: ClassTable) -> dict:
                 {
                     "points": [Point(m, entry.cap.n).to_bits() for m in entry.cap.sorted_masks()],
                     "complete": entry.complete,
-                    "census": sorted(str(t) for t in entry.census) if entry.census is not None else None,
+                    "census": _census_payload(entry.census),
                 }
             )
         sizes[str(size)] = entries
@@ -234,7 +236,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "classify" and args.max_size <= args.dim:
         parser.error(f"classify: max_size must exceed dim, got {args.max_size} <= {args.dim}")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left: flush the rest into devnull, not the closed pipe, at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except CapFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

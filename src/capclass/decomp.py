@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
 from .capset import Cap
@@ -39,39 +39,26 @@ _TYPE_CACHE: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[tuple[int, ...]
 _TYPE_CACHE_LIMIT = 100_000
 
 
+def _raw_type(sups: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(support sizes, pairwise intersection sizes) of one basis, pairs in combinations order."""
+    return tuple(s.bit_count() for s in sups), tuple((a & b).bit_count() for a, b in combinations(sups, 2))
+
+
 def _canonical_type(sizes: tuple[int, ...], pairs: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Reorder dependents: sizes non-increasing, then pair sizes lex-minimal."""
-    r = len(sizes)
-    if r == 0:
-        return (), ()
-    if r == 1:
-        return sizes, ()
     key = (sizes, pairs)
     hit = _TYPE_CACHE.get(key)
     if hit is not None:
         return hit
-    pair_at: dict[tuple[int, int], int] = {}
-    idx = 0
-    for i in range(r):
-        for j in range(i + 1, r):
-            pair_at[(i, j)] = pairs[idx]
-            idx += 1
-    best: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    for perm in permutations(range(r)):
-        s = tuple(sizes[p] for p in perm)
-        if any(s[a] < s[a + 1] for a in range(r - 1)):
-            continue
-        q = []
-        for a in range(r):
-            pa = perm[a]
-            for b in range(a + 1, r):
-                pb = perm[b]
-                q.append(pair_at[(pa, pb) if pa < pb else (pb, pa)])
-        cand = (s, tuple(q))
-        if best is None or cand < best:
-            best = cand
-    if best is None:
-        raise InvariantError(f"no dependent order keeps the sizes {sizes} non-increasing")
+    pair_at = dict(zip(combinations(range(len(sizes)), 2), pairs))
+    best = min(
+        (
+            tuple(sizes[p] for p in perm),
+            tuple(pair_at[(a, b) if a < b else (b, a)] for a, b in combinations(perm, 2)),
+        )
+        for perm in permutations(range(len(sizes)))
+        if all(sizes[a] >= sizes[b] for a, b in zip(perm, perm[1:]))
+    )
     if len(_TYPE_CACHE) >= _TYPE_CACHE_LIMIT:
         _TYPE_CACHE.clear()
     _TYPE_CACHE[key] = best
@@ -92,28 +79,22 @@ class ExtendedType:
     pair_sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        r = len(self.sizes)
-        if len(self.pair_sizes) != r * (r - 1) // 2:
+        sizes, pairs = tuple(self.sizes), tuple(self.pair_sizes)
+        r = len(sizes)
+        if len(pairs) != r * (r - 1) // 2:
             raise ValueError(f"expected {r * (r - 1) // 2} pair sizes for {r} dependents")
-        sizes, pairs = _canonical_type(tuple(self.sizes), tuple(self.pair_sizes))
-        idx = 0
-        for i in range(r):
-            for j in range(i + 1, r):
-                if pairs[idx] > min(sizes[i], sizes[j]):
-                    raise ValueError("pair intersection exceeds a member size")
-                idx += 1
+        if any(s < 1 for s in sizes) or any(p < 0 for p in pairs):
+            raise ValueError("support sizes must be at least 1 and pair sizes at least 0")
+        # the bound holds in every dependent order, so it is checked before canonicalising
+        if any(p > min(sizes[i], sizes[j]) for (i, j), p in zip(combinations(range(r), 2), pairs)):
+            raise ValueError("pair intersection exceeds a member size")
+        sizes, pairs = _canonical_type(sizes, pairs)
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "pair_sizes", pairs)
 
     @classmethod
     def from_supports(cls, supports: Sequence[int]) -> ExtendedType:
-        sizes = tuple(s.bit_count() for s in supports)
-        pairs = []
-        r = len(supports)
-        for i in range(r):
-            for j in range(i + 1, r):
-                pairs.append((supports[i] & supports[j]).bit_count())
-        return cls(sizes, tuple(pairs))
+        return cls(*_raw_type(supports))
 
     def __str__(self) -> str:
         if not self.sizes:
@@ -346,14 +327,6 @@ def type_census(c: Cap) -> frozenset[ExtendedType]:
     """Extended types over every basis contained in the cap."""
     if c.size > _DESK_LIMIT:
         raise TooLargeError(f"type census is limited to {_DESK_LIMIT} points, got {c.size}")
-    masks = c.sorted_masks()
-    raw: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    for _, sups in _basis_scan(masks, c.dim + 1):
-        r = len(sups)
-        sizes = tuple(s.bit_count() for s in sups)
-        pairs = tuple(
-            (sups[i] & sups[j]).bit_count() for i in range(r) for j in range(i + 1, r)
-        )
-        raw.add((sizes, pairs))
+    raw = {_raw_type(sups) for _, sups in _basis_scan(c.sorted_masks(), c.dim + 1)}
     # ExtendedType canonicalises each raw type; the frozenset merges equal ones
     return frozenset(ExtendedType(s, p) for s, p in raw)

@@ -166,7 +166,7 @@ def test_criterion_11_bounds(table7, table6):
 
 def test_criterion_12_toy_scale_oracle():
     started = time.perf_counter()
-    result = check_toy_oracle((1, 2, 3, 4))
+    result = check_toy_oracle()
     elapsed = time.perf_counter() - started
     ok = result.passed and elapsed < 30.0
     report(f"criterion 12: toy-dimension oracle agreement in {elapsed:.2f}s (< 30 s)", ok)

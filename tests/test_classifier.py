@@ -182,7 +182,7 @@ class TestClaims:
 
     def test_exchange_claim_small(self):
         table7 = classify(7, 13)
-        res = check_exchange_contract(table7, trials=200, seed=5)
+        res = check_exchange_contract(table7, trials=200)
         assert res.passed
         assert res.witness["trials"] == 200
 
@@ -192,7 +192,7 @@ class TestClaims:
         with pytest.raises(ValueError):
             check_invariance_fuzz(-1)
         with pytest.raises(ValueError):
-            verify_paper(exchange_trials=-1, toy_dims=(1,))
+            verify_paper(exchange_trials=-1)
 
     @pytest.mark.parametrize("name", ("invariance_trials", "exchange_trials"))
     def test_negative_trial_counts_are_rejected_before_any_work(self, monkeypatch, name):
@@ -220,12 +220,12 @@ class TestClaims:
 
         original = classifier.check_dim6_counts
         monkeypatch.setattr(classifier, "check_dim6_counts", spy)
-        report = verify_paper(invariance_trials=0, exchange_trials=0, toy_dims=(1,))
+        report = verify_paper(invariance_trials=0, exchange_trials=0)
         assert len(calls) == 1
         assert report.claims[2].claim_id == "dim6-classification-counts"
 
     def test_verify_paper_report_shape(self):
-        report = verify_paper(invariance_trials=3, exchange_trials=30, toy_dims=(1, 2))
+        report = verify_paper(invariance_trials=3, exchange_trials=30)
         assert [c.claim_id for c in report.claims] == CLAIM_IDS
         assert report.all_passed
         payload = report.to_dict()

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -243,6 +247,21 @@ class TestClassifyCommand:
         assert captured.out == ""
         assert "max_size must exceed dim" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_stdout_closed_by_reader_exits_141_quietly(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "capclass.cli", "classify", "6", "10"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()  # the reader is gone before the first write
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 141
+        assert b"Traceback" not in err
+        assert b"Exception ignored" not in err
 
 
 class TestVerifyPaperCommand:

@@ -135,6 +135,11 @@ class TestExtendedType:
         with pytest.raises(ValueError):
             ExtendedType((5, 3), (4,))
 
+    @pytest.mark.parametrize("sizes, pairs", [((5, 5), (-1,)), ((-3,), ()), ((0,), ()), ((5, 0), (0,))])
+    def test_negative_values_rejected(self, sizes, pairs):
+        with pytest.raises(ValueError):
+            ExtendedType(sizes, pairs)
+
     @given(st.permutations(range(4)))
     def test_canonicalisation_is_permutation_invariant(self, perm):
         dec = decompose(instantiate("T12_5555_233332"), generating_basis("T12_5555_233332"))
