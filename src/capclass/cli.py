@@ -24,6 +24,8 @@ from .classifier import (
     _CENSUS_LIMIT,
     _MAX_CLASSIFY_DIM,
     _MAX_CLASSIFY_SIZE,
+    DEFAULT_EXCHANGE_TRIALS,
+    DEFAULT_INVARIANCE_TRIALS,
     ClassTable,
     _census_payload,
     _map_payload,
@@ -224,8 +226,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-paper", help="re-derive and check the full classification")
     p.add_argument("--json", action="store_true", help="emit the machine-readable report")
-    p.add_argument("--fuzz-trials", type=_trial_count, default=1000, help="random maps per template")
-    p.add_argument("--exchange-trials", type=_trial_count, default=10000, help="random basis exchanges")
+    p.add_argument("--fuzz-trials", type=_trial_count, default=DEFAULT_INVARIANCE_TRIALS,
+                   help="random maps per template")
+    p.add_argument("--exchange-trials", type=_trial_count, default=DEFAULT_EXCHANGE_TRIALS,
+                   help="random basis exchanges")
     p.set_defaults(func=_cmd_verify_paper)
     return parser
 

@@ -39,6 +39,13 @@ _TYPE_CACHE: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[tuple[int, ...]
 _TYPE_CACHE_LIMIT = 100_000
 
 
+def _cache_put(cache: dict, key: object, value: object, limit: int) -> None:
+    """Insert into a memo that is cleared whenever it reaches its limit."""
+    if len(cache) >= limit:
+        cache.clear()
+    cache[key] = value
+
+
 def _raw_type(sups: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(support sizes, pairwise intersection sizes) of one basis, pairs in combinations order."""
     return tuple(s.bit_count() for s in sups), tuple((a & b).bit_count() for a, b in combinations(sups, 2))
@@ -59,9 +66,7 @@ def _canonical_type(sizes: tuple[int, ...], pairs: tuple[int, ...]) -> tuple[tup
         for perm in permutations(range(len(sizes)))
         if all(sizes[a] >= sizes[b] for a, b in zip(perm, perm[1:]))
     )
-    if len(_TYPE_CACHE) >= _TYPE_CACHE_LIMIT:
-        _TYPE_CACHE.clear()
-    _TYPE_CACHE[key] = best
+    _cache_put(_TYPE_CACHE, key, best, _TYPE_CACHE_LIMIT)
     return best
 
 

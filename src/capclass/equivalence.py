@@ -11,7 +11,14 @@ The minimisation runs in two levels: enumerate basis subsets, then
 branch-and-bound over the assignment of basis points to positions,
 pruning a partial assignment as soon as the masks it has already
 finalised cannot beat the incumbent.  Per-subset minima depend only on
-the multiset of raw supports and are memoised.
+the multiset of raw supports and are memoised twice: on the raw
+supports, and on the supports after a label-insensitive relabeling of
+the columns, so the branch-and-bound runs once per relabeled multiset.
+That relabeling colors each column by refinement over the supports; a
+column's color depends only on its signature (the set of supports that
+hold it) and on the multiset of all signatures, so the refinement runs
+once per signature multiset and its signature -> color map is memoised
+too.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .capset import Cap
-from .decomp import _basis_scan
+from .decomp import _basis_scan, _cache_put
 from .errors import DimensionMismatchError, InvariantError, TooLargeError
 from .gf2 import AffineMap, XorBasis, _columns_of, _transpose
 
@@ -29,9 +36,12 @@ _SIZE_LIMIT = 14
 # present the same structures under permuted column labels, so raw keys
 # (exact masks) recur within a run while the normalized keys below collapse
 # relabelings of the same structure; the branch-and-bound runs only once
-# per normalized key.  Both are cleared whenever they reach _RAW_CACHE_LIMIT.
+# per normalized key.  Normalizing a raw miss needs the column colors, which
+# _COLOR_CACHE holds per multiset of column signatures.  All three are
+# cleared whenever they reach _RAW_CACHE_LIMIT.
 _RAW_FORM_CACHE: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 _NORM_FORM_CACHE: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+_COLOR_CACHE: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
 _RAW_CACHE_LIMIT = 400_000
 
 
@@ -57,62 +67,98 @@ def _min_column_form(
     Columns carried by no support can always be pushed past every
     support column without increasing any mask, so they are assigned
     last; columns with identical support membership are interchangeable
-    and only one per class is branched on.
+    and only one per class is branched on.  The search extends one shared
+    partial assignment in place and undoes each step after its subtree.
     """
-    r = len(sups)
+    # one entry per distinct nonzero signature: its columns and its supports
     member = _transpose(sups, ncols)
+    cols_of: dict[int, int] = {}
+    for c, sig in enumerate(member):
+        if sig:
+            cols_of[sig] = cols_of.get(sig, 0) | 1 << c
+    classes = [(cols, _columns_of(sig)) for sig, cols in cols_of.items()]
+    partial = [0] * len(sups)
+    remaining = [s.bit_count() for s in sups]
+    order: list[int] = []
 
     best_masks: tuple[int, ...] | None = None
     best_order: tuple[int, ...] | None = None
 
-    def rec(
-        order: tuple[int, ...],
-        avail: int,
-        partial: tuple[int, ...],
-        remaining: tuple[int, ...],
-    ) -> None:
+    def rec(avail: int, lbs: list[int]) -> None:
+        # lbs bounds each support from below: it finishes at or above its
+        # partial with its leftover bits packed low.  A finished support's
+        # bound is its mask, which is below every unfinished one, so the
+        # sorted bounds bound every completion of this node.
         nonlocal best_masks, best_order
-        pos = len(order)
-        # each support finishes at or above its partial with its leftover
-        # bits packed low; a finished support's bound is its mask, which is
-        # below every unfinished one, so the sorted bounds bound every
-        # completion and a branch that cannot beat the incumbent is cut
-        lbs = [p | ((1 << rem) - 1) << pos for p, rem in zip(partial, remaining)]
-        bound = tuple(sorted(lbs))
-        if best_masks is not None and bound >= best_masks:
-            return
         if not any(remaining):
-            # past the cut, a finished order beats the incumbent
-            best_masks, best_order = bound, order + tuple(_columns_of(avail))
+            # the parent let this node past the cut, so it beats the incumbent
+            best_masks, best_order = tuple(sorted(lbs)), tuple(order) + tuple(_columns_of(avail))
             return
-        seen: set[int] = set()
+        # branch on the lowest free column of each signature class
+        keys = list(zip(lbs, remaining))
         scored = []
-        m = avail
-        while m:
-            low = m & -m
-            m ^= low
-            c = low.bit_length() - 1
-            sig = member[c]
-            if sig == 0 or sig in seen:
-                continue
-            seen.add(sig)
-            score = min((lbs[s], remaining[s]) for s in range(r) if sig >> s & 1)
-            scored.append((score, c, sig))
+        for cols, rows in classes:
+            free = cols & avail
+            if free:
+                scored.append((min(map(keys.__getitem__, rows)), (free & -free).bit_length() - 1, rows))
         scored.sort()
+        pos = len(order)
         bit = 1 << pos
-        for _, c, sig in scored:
-            new_partial = list(partial)
-            new_remaining = list(remaining)
-            for s in range(r):
-                if sig >> s & 1:
-                    new_partial[s] |= bit
-                    new_remaining[s] -= 1
-            rec(order + (c,), avail ^ (1 << c), tuple(new_partial), tuple(new_remaining))
+        # a child's bounds: its new column keeps the bounds of the supports
+        # that hold it, and every other support's leftover moves up one place
+        shifted = [p | ((1 << rem) - 1) << (pos + 1) for p, rem in zip(partial, remaining)]
+        for _, c, rows in scored:
+            child = shifted.copy()
+            for s in rows:
+                child[s] = lbs[s]
+            # a child that cannot beat the incumbent is cut
+            if best_masks is not None and tuple(sorted(child)) >= best_masks:
+                continue
+            for s in rows:
+                partial[s] |= bit
+                remaining[s] -= 1
+            order.append(c)
+            rec(avail ^ (1 << c), child)
+            order.pop()
+            for s in rows:
+                partial[s] ^= bit
+                remaining[s] += 1
 
-    rec((), (1 << ncols) - 1, (0,) * r, tuple(s.bit_count() for s in sups))
+    rec((1 << ncols) - 1, [(1 << rem) - 1 for rem in remaining])
     if best_masks is None or best_order is None:
         raise InvariantError(f"no column order finalised the supports {sups}")
     return best_masks, best_order
+
+
+def _signature_colors(r: int, sigs: tuple[int, ...]) -> dict[int, int]:
+    """Refined color of each column signature, given every column's signature.
+
+    A column's signature is its membership mask over the r supports.  The
+    colors depend on the signatures only through their multiset, so the
+    refinement runs once per distinct signature, weighted by its count.
+    """
+    counts: dict[int, int] = {}
+    for sig in sigs:
+        counts[sig] = counts.get(sig, 0) + 1
+    rows = [_columns_of(sig) for sig in counts]
+    # each support lists the index of every column's signature, once per column
+    sup_sigs: list[list[int]] = [[] for _ in range(r)]
+    for i, (row, count) in enumerate(zip(rows, counts.values())):
+        for s in row:
+            sup_sigs[s] += [i] * count
+
+    color = [len(row) for row in rows]
+    for _ in range(3):
+        sup_keys = [(len(col_sigs), tuple(sorted(color[i] for i in col_sigs))) for col_sigs in sup_sigs]
+        rank = {key: i for i, key in enumerate(sorted(set(sup_keys)))}
+        sup_color = [rank[key] for key in sup_keys]
+        sig_keys = [tuple(sorted(sup_color[s] for s in row)) for row in rows]
+        rank = {key: i for i, key in enumerate(sorted(set(sig_keys)))}
+        new_color = [rank[key] for key in sig_keys]
+        if new_color == color:
+            break
+        color = new_color
+    return dict(zip(counts, color))
 
 
 def _normalize_columns(
@@ -121,45 +167,29 @@ def _normalize_columns(
     """Relabel columns by refined incidence colors, insensitively to input labels.
 
     Returns the relabeled support masks and ``old_of_new`` with
-    old_of_new[k] = original index of the column now called k.  Colors
-    are interned as ranks of their sorted key multisets, so they do not
-    depend on the incoming labeling; any residual ties fall back to the
-    original index.  Any deterministic relabeling is sound here because
-    the minimum taken afterwards ranges over all column orders anyway.
+    old_of_new[k] = original index of the column now called k.  Three
+    rounds of refinement alternate between support colors (size plus the
+    sorted colors of its columns) and column colors (the sorted colors of
+    the supports holding it), starting from each column's support count
+    and stopping early once the column colors are stable.  Colors are
+    interned as ranks of their sorted keys, so they do not depend on the
+    incoming labeling; any residual ties fall back to the original index.
+    A column's color depends only on its signature and on the multiset of
+    all signatures, so the signature -> color map is memoised on that
+    multiset in ``_COLOR_CACHE``.  Any deterministic relabeling is sound
+    here because the minimum taken afterwards ranges over all column
+    orders anyway.
     """
     r = len(sups)
-    sizes = [s.bit_count() for s in sups]
-    sup_cols: list[list[int]] = []
-    col_members: list[list[int]] = [[] for _ in range(ncols)]
-    for s, sup in enumerate(sups):
-        cols = _columns_of(sup)
-        for c in cols:
-            col_members[c].append(s)
-        sup_cols.append(cols)
-
-    col_color = [len(col_members[c]) for c in range(ncols)]
-    for _ in range(3):
-        sup_keys = [
-            (sizes[s], tuple(sorted(col_color[c] for c in sup_cols[s]))) for s in range(r)
-        ]
-        rank = {key: i for i, key in enumerate(sorted(set(sup_keys)))}
-        sup_color = [rank[key] for key in sup_keys]
-        col_keys = [tuple(sorted(sup_color[s] for s in col_members[c])) for c in range(ncols)]
-        rank = {key: i for i, key in enumerate(sorted(set(col_keys)))}
-        new_color = [rank[key] for key in col_keys]
-        if new_color == col_color:
-            break
-        col_color = new_color
-
-    old_of_new = tuple(sorted(range(ncols), key=lambda c: (col_color[c], c)))
-    norm = []
-    for s in sups:
-        m = 0
-        for new_idx, old in enumerate(old_of_new):
-            if s >> old & 1:
-                m |= 1 << new_idx
-        norm.append(m)
-    return tuple(norm), old_of_new
+    member = _transpose(sups, ncols)
+    key = (r, tuple(sorted(member)))
+    colors = _COLOR_CACHE.get(key)
+    if colors is None:
+        colors = _signature_colors(r, key[1])
+        _cache_put(_COLOR_CACHE, key, colors, _RAW_CACHE_LIMIT)
+    # a stable sort of the ascending labels breaks color ties by original index
+    old_of_new = tuple(sorted(range(ncols), key=[colors[sig] for sig in member].__getitem__))
+    return _transpose([member[old] for old in old_of_new], r), old_of_new
 
 
 def _minimal_form_for_supports(
@@ -192,14 +222,10 @@ def _minimal_form_for_supports(
     entry = _NORM_FORM_CACHE.get(norm_key)
     if entry is None:
         entry = _min_column_form(norm, ncols)
-        if len(_NORM_FORM_CACHE) >= _RAW_CACHE_LIMIT:
-            _NORM_FORM_CACHE.clear()
-        _NORM_FORM_CACHE[norm_key] = entry
+        _cache_put(_NORM_FORM_CACHE, norm_key, entry, _RAW_CACHE_LIMIT)
     masks, order_n = entry
     result = (masks, tuple(old_of_new[k] for k in order_n))
-    if len(_RAW_FORM_CACHE) >= _RAW_CACHE_LIMIT:
-        _RAW_FORM_CACHE.clear()
-    _RAW_FORM_CACHE[raw_key] = result
+    _cache_put(_RAW_FORM_CACHE, raw_key, result, _RAW_CACHE_LIMIT)
     return result
 
 

@@ -240,9 +240,12 @@ def _transpose(vectors: Sequence[int], n: int) -> tuple[int, ...]:
     """Bit-matrix transpose: bit i of entry j is bit j of vectors[i]."""
     out = [0] * n
     for i, vec in enumerate(vectors):
-        for j in range(n):
-            if vec >> j & 1:
-                out[j] |= 1 << i
+        bit = 1 << i
+        vec &= (1 << n) - 1
+        while vec:
+            low = vec & -vec
+            vec ^= low
+            out[low.bit_length() - 1] |= bit
     return tuple(out)
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from capclass.errors import InvariantError
+
 
 def odd_sum_closure(masks: set[int]) -> set[int]:
     """Affine span by saturation: keep adding XORs of three elements."""
@@ -205,3 +207,141 @@ def no_thirteen_cap_structure() -> bool:
     survey = thirteen_cap_pair_survey()
     survivors = [row for row in survey if row["survives_lemmas"]]
     return bool(survivors) and all(not row["consistent"] for row in survivors)
+
+
+# The two per-basis form kernels as they stood before the signature memo
+# and the in-place branch-and-bound, kept as the differential reference,
+# with their bit helpers, so that they share no code with the library.
+
+
+def _transpose(vectors, n):
+    """Bit-matrix transpose: bit i of entry j is bit j of vectors[i]."""
+    out = [0] * n
+    for i, vec in enumerate(vectors):
+        for j in range(n):
+            if vec >> j & 1:
+                out[j] |= 1 << i
+    return tuple(out)
+
+
+def _columns_of(mask):
+    """Indices of the set bits of mask, ascending."""
+    cols = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        cols.append(low.bit_length() - 1)
+    return cols
+
+
+def min_column_form_oracle(
+    sups: tuple[int, ...], ncols: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Minimal sorted support-mask tuple over all column orders, with the order.
+
+    Columns carried by no support can always be pushed past every
+    support column without increasing any mask, so they are assigned
+    last; columns with identical support membership are interchangeable
+    and only one per class is branched on.
+    """
+    r = len(sups)
+    member = _transpose(sups, ncols)
+
+    best_masks: tuple[int, ...] | None = None
+    best_order: tuple[int, ...] | None = None
+
+    def rec(
+        order: tuple[int, ...],
+        avail: int,
+        partial: tuple[int, ...],
+        remaining: tuple[int, ...],
+    ) -> None:
+        nonlocal best_masks, best_order
+        pos = len(order)
+        # each support finishes at or above its partial with its leftover
+        # bits packed low; a finished support's bound is its mask, which is
+        # below every unfinished one, so the sorted bounds bound every
+        # completion and a branch that cannot beat the incumbent is cut
+        lbs = [p | ((1 << rem) - 1) << pos for p, rem in zip(partial, remaining)]
+        bound = tuple(sorted(lbs))
+        if best_masks is not None and bound >= best_masks:
+            return
+        if not any(remaining):
+            # past the cut, a finished order beats the incumbent
+            best_masks, best_order = bound, order + tuple(_columns_of(avail))
+            return
+        seen: set[int] = set()
+        scored = []
+        m = avail
+        while m:
+            low = m & -m
+            m ^= low
+            c = low.bit_length() - 1
+            sig = member[c]
+            if sig == 0 or sig in seen:
+                continue
+            seen.add(sig)
+            score = min((lbs[s], remaining[s]) for s in range(r) if sig >> s & 1)
+            scored.append((score, c, sig))
+        scored.sort()
+        bit = 1 << pos
+        for _, c, sig in scored:
+            new_partial = list(partial)
+            new_remaining = list(remaining)
+            for s in range(r):
+                if sig >> s & 1:
+                    new_partial[s] |= bit
+                    new_remaining[s] -= 1
+            rec(order + (c,), avail ^ (1 << c), tuple(new_partial), tuple(new_remaining))
+
+    rec((), (1 << ncols) - 1, (0,) * r, tuple(s.bit_count() for s in sups))
+    if best_masks is None or best_order is None:
+        raise InvariantError(f"no column order finalised the supports {sups}")
+    return best_masks, best_order
+
+
+def normalize_columns_oracle(
+    sups: tuple[int, ...], ncols: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Relabel columns by refined incidence colors, insensitively to input labels.
+
+    Returns the relabeled support masks and ``old_of_new`` with
+    old_of_new[k] = original index of the column now called k.  Colors
+    are interned as ranks of their sorted key multisets, so they do not
+    depend on the incoming labeling; any residual ties fall back to the
+    original index.  Any deterministic relabeling is sound here because
+    the minimum taken afterwards ranges over all column orders anyway.
+    """
+    r = len(sups)
+    sizes = [s.bit_count() for s in sups]
+    sup_cols: list[list[int]] = []
+    col_members: list[list[int]] = [[] for _ in range(ncols)]
+    for s, sup in enumerate(sups):
+        cols = _columns_of(sup)
+        for c in cols:
+            col_members[c].append(s)
+        sup_cols.append(cols)
+
+    col_color = [len(col_members[c]) for c in range(ncols)]
+    for _ in range(3):
+        sup_keys = [
+            (sizes[s], tuple(sorted(col_color[c] for c in sup_cols[s]))) for s in range(r)
+        ]
+        rank = {key: i for i, key in enumerate(sorted(set(sup_keys)))}
+        sup_color = [rank[key] for key in sup_keys]
+        col_keys = [tuple(sorted(sup_color[s] for s in col_members[c])) for c in range(ncols)]
+        rank = {key: i for i, key in enumerate(sorted(set(col_keys)))}
+        new_color = [rank[key] for key in col_keys]
+        if new_color == col_color:
+            break
+        col_color = new_color
+
+    old_of_new = tuple(sorted(range(ncols), key=lambda c: (col_color[c], c)))
+    norm = []
+    for s in sups:
+        m = 0
+        for new_idx, old in enumerate(old_of_new):
+            if s >> old & 1:
+                m |= 1 << new_idx
+        norm.append(m)
+    return tuple(norm), old_of_new

@@ -301,6 +301,19 @@ class TestVerifyPaperCommand:
         args = build_parser().parse_args(["verify-paper", "--fuzz-trials", "0", "--exchange-trials", "0"])
         assert (args.fuzz_trials, args.exchange_trials) == (0, 0)
 
+    def test_trial_defaults_come_from_the_library(self, monkeypatch):
+        from capclass import classifier, cli
+
+        args = build_parser().parse_args(["verify-paper"])
+        assert (args.fuzz_trials, args.exchange_trials) == (
+            classifier.DEFAULT_INVARIANCE_TRIALS,
+            classifier.DEFAULT_EXCHANGE_TRIALS,
+        )
+        monkeypatch.setattr(cli, "DEFAULT_INVARIANCE_TRIALS", 7)
+        monkeypatch.setattr(cli, "DEFAULT_EXCHANGE_TRIALS", 9)
+        args = build_parser().parse_args(["verify-paper"])
+        assert (args.fuzz_trials, args.exchange_trials) == (7, 9)
+
     def test_corrupted_template_data_fails_the_run(self, capsys, monkeypatch):
         from capclass import templates
 

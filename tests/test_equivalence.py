@@ -12,6 +12,7 @@ from capclass.equivalence import (
     _map_from_bases,
     _min_column_form,
     _minimal_form_for_supports,
+    _normalize_columns,
     are_equivalent,
     canonical_form,
     find_isomorphism,
@@ -19,9 +20,11 @@ from capclass.equivalence import (
 )
 from capclass.errors import DimensionMismatchError, InvariantError, TooLargeError
 from capclass.gf2 import AffineMap, Point, PointSet, apply_affine_map, random_invertible_affine
+from capclass.classifier import classify
+from capclass.decomp import _basis_scan
 from capclass.templates import higherdim_pair, instantiate
 
-from oracles import equivalent_by_basis_images
+from oracles import equivalent_by_basis_images, min_column_form_oracle, normalize_columns_oracle
 
 
 def image_cap(cap, seed):
@@ -210,17 +213,82 @@ class TestMinimalFormAgainstAllColumnOrders:
                 assert _minimal_form_for_supports((sup,), ncols) == want, (sup, ncols)
 
 
+def supports_from_signatures(sigs, r):
+    """The r support masks whose column c has membership signature sigs[c]."""
+    return tuple(sum(1 << c for c, sig in enumerate(sigs) if sig >> s & 1) for s in range(r))
+
+
+def seeded_kernel_inputs():
+    """(sups, ncols) with r = 1..6 and ncols = 1..11, drawing each column's
+    signature from a small pool so that signatures repeat, the empty one
+    (a column in no support) included half the time."""
+    rng = random.Random(8)
+    cases = []
+    for _ in range(1500):
+        r, ncols = rng.randint(1, 6), rng.randint(1, 11)
+        pool = [rng.randrange(1 << r) for _ in range(rng.randint(1, ncols))]
+        if rng.random() < 0.5:
+            pool.append(0)
+        sigs = [rng.choice(pool) for _ in range(ncols)]
+        cases.append((supports_from_signatures(sigs, r), ncols))
+    return cases
+
+
+def classified_basis_rows():
+    """Every basis row of the classify(7,13) and classify(6,10)
+    representatives and of two seeded affine images of each."""
+    rows = set()
+    for table in (classify(7, 13), classify(6, 10)):
+        for size in table.rows:
+            for entry in table.entries(size):
+                for cap in (entry.cap, image_cap(entry.cap, 1), image_cap(entry.cap, 2)):
+                    bc = cap.dim + 1
+                    rows.update((sups, bc) for _, sups in _basis_scan(cap.sorted_masks(), bc))
+    return sorted(rows)
+
+
+def normalized_basis_rows():
+    """The classified basis rows as the form cache hands them to the
+    branch-and-bound: relabeled, one per normalized key."""
+    return sorted({(tuple(sorted(normalize_columns_oracle(*row)[0])), row[1]) for row in classified_basis_rows()})
+
+
+class TestFormKernelsMatchReference:
+    """The memoised normalisation and the in-place branch-and-bound return
+    exactly what the reference kernels in tests/oracles.py return."""
+
+    def test_seeded_inputs_cover_repeats_and_empty_columns(self):
+        cases = seeded_kernel_inputs()
+        member = [[sum(1 << s for s, sup in enumerate(sups) if sup >> c & 1) for c in range(ncols)]
+                  for sups, ncols in cases]
+        assert any(len(set(sigs)) < len(sigs) for sigs in member)
+        assert any(0 in sigs for sigs in member)
+        assert {len(sups) for sups, _ in cases} == set(range(1, 7))
+        assert {ncols for _, ncols in cases} == set(range(1, 12))
+
+    @pytest.mark.parametrize("inputs", (seeded_kernel_inputs, classified_basis_rows))
+    def test_normalize_columns(self, inputs):
+        for sups, ncols in inputs():
+            assert _normalize_columns(sups, ncols) == normalize_columns_oracle(sups, ncols), (sups, ncols)
+
+    @pytest.mark.parametrize("inputs", (seeded_kernel_inputs, normalized_basis_rows))
+    def test_min_column_form(self, inputs):
+        for sups, ncols in inputs():
+            assert _min_column_form(sups, ncols) == min_column_form_oracle(sups, ncols), (sups, ncols)
+
+
 def test_form_caches_stay_bounded(monkeypatch):
     caps = [image_cap(instantiate(label), seed) for label in ("T11_555_332", "T11_755_443") for seed in (1, 2)]
-    monkeypatch.setattr(equivalence, "_RAW_FORM_CACHE", {})
-    monkeypatch.setattr(equivalence, "_NORM_FORM_CACHE", {})
+    caches = ("_RAW_FORM_CACHE", "_NORM_FORM_CACHE", "_COLOR_CACHE")
+    for name in caches:
+        monkeypatch.setattr(equivalence, name, {})
     expected = [_canonical_scan(cap) for cap in caps]
     limit = 3
-    assert len(equivalence._NORM_FORM_CACHE) > limit
+    assert all(len(getattr(equivalence, name)) > limit for name in caches)
     monkeypatch.setattr(equivalence, "_RAW_CACHE_LIMIT", limit)
-    monkeypatch.setattr(equivalence, "_RAW_FORM_CACHE", {})
-    monkeypatch.setattr(equivalence, "_NORM_FORM_CACHE", {})
+    for name in caches:
+        monkeypatch.setattr(equivalence, name, {})
     for cap, want in zip(caps, expected):
         assert _canonical_scan(cap) == want
-        assert len(equivalence._RAW_FORM_CACHE) <= limit
-        assert len(equivalence._NORM_FORM_CACHE) <= limit
+        for name in caches:
+            assert len(getattr(equivalence, name)) <= limit, name

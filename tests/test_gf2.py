@@ -13,6 +13,7 @@ from capclass.gf2 import (
     AffineMap,
     Point,
     PointSet,
+    _transpose,
     affine_dim,
     affine_span,
     apply_affine_map,
@@ -23,6 +24,7 @@ from capclass.gf2 import (
     xor_sum,
 )
 
+from oracles import _transpose as transpose_oracle
 from oracles import greedy_basis_oracle, odd_subset_coordinates, odd_sum_closure, rank_oracle
 
 FRAME7 = (0, 1, 2, 4, 8, 16, 32, 64)
@@ -241,3 +243,10 @@ def test_odd_sums_stay_in_span(s):
     if len(points) % 2 == 0:
         points = points[:-1]
     assert xor_sum(points) in affine_span(s)
+
+
+@given(st.lists(st.integers(0, (1 << 14) - 1), max_size=12), st.integers(0, 12))
+@settings(max_examples=200, deadline=None)
+def test_transpose_matches_bitwise_reference(vectors, n):
+    # bits at or above n are ignored, as in the bit-by-bit reference
+    assert _transpose(vectors, n) == transpose_oracle(vectors, n)
