@@ -118,12 +118,15 @@ class Cap:
         return f"Cap(n={self.n}, size={self.size}, dim={self.dim})"
 
 
-def _qc1_masks(masks: Sequence[int]) -> set[int]:
+def _qc1_masks(masks: Sequence[int], span_size: int) -> set[int]:
+    """masks plus every XOR of three of them; stops once it fills their span of span_size points."""
     closure = set(masks)
     k = len(masks)
     for i in range(k):
         a = masks[i]
         for j in range(i + 1, k):
+            if len(closure) == span_size:
+                return closure
             ab = a ^ masks[j]
             for l in range(j + 1, k):
                 closure.add(ab ^ masks[l])
@@ -134,16 +137,18 @@ def quad_closure_1(s: PointSet) -> PointSet:
     """s together with the XOR of every three distinct elements of s."""
     if len(s) == 0:
         raise EmptyInputError("quad closure of the empty set")
-    return PointSet(s.n, _qc1_masks(s.sorted_masks()))
+    return PointSet(s.n, _qc1_masks(s.sorted_masks(), 1 << affine_dim(s)))
 
 
 def is_complete(c: Cap) -> bool:
     """True iff the first quad closure of c already fills its affine span."""
     masks = c.sorted_masks()
-    return _qc1_masks(masks) == _span_masks(masks)
+    span = _span_masks(masks)
+    return _qc1_masks(masks, len(span)) == span
 
 
 def extension_candidates(c: Cap) -> PointSet:
     """Points of aff(c) whose addition keeps c a cap; empty iff c is complete."""
     masks = c.sorted_masks()
-    return PointSet(c.n, _span_masks(masks) - _qc1_masks(masks))
+    span = _span_masks(masks)
+    return PointSet(c.n, span - _qc1_masks(masks, len(span)))

@@ -21,7 +21,6 @@ from typing import Callable, Mapping
 from .capset import Cap, extension_candidates, is_cap, is_complete, quad_closure_1
 from .decomp import (
     _DESK_LIMIT,
-    BasisDecomposition,
     ExtendedType,
     _basis_scan,
     _raw_type,
@@ -82,9 +81,13 @@ class ClassTable:
         return max(nonempty)
 
 
+def _census(cap: Cap) -> frozenset[ExtendedType] | None:
+    """The cap's type census, or None when it has more than _CENSUS_LIMIT points."""
+    return type_census(cap) if cap.size <= _CENSUS_LIMIT else None
+
+
 def _make_entry(cap: Cap, form: CanonicalForm) -> ClassEntry:
-    census = type_census(cap) if cap.size <= _CENSUS_LIMIT else None
-    return ClassEntry(cap, form, census, is_complete(cap))
+    return ClassEntry(cap, form, _census(cap), is_complete(cap))
 
 
 def classify(dim: int, max_size: int) -> ClassTable:
@@ -441,11 +444,9 @@ def check_exchange_contract(table7: ClassTable, trials: int = DEFAULT_EXCHANGE_T
             cap, masks = entry.cap, entry.cap.sorted_masks()
             points = tuple(Point(m, cap.n) for m in masks)
             moves = []
-            for subset, sups in _basis_scan(masks, cap.dim + 1):
-                # the scan's supports are decompose's for this basis: dependents
-                # in ascending point order, bit pos = subset[pos]
-                deps = tuple(zip((p for i, p in enumerate(points) if i not in subset), sups))
-                dec = BasisDecomposition(cap.points, tuple(points[i] for i in subset), deps)
+            for subset, _ in _basis_scan(masks, cap.dim + 1):
+                dec = decompose(cap, [points[i] for i in subset])
+                sups = dec.support_masks()
                 # a basis point may go to a dependent holding it when at most
                 # one other dependent holds it too
                 holders = [sum(s >> pos & 1 for s in sups) for pos in range(len(subset))]

@@ -21,18 +21,17 @@ from pathlib import Path
 
 from .capset import Cap, find_quad, is_complete, quad_closure_1
 from .classifier import (
-    _CENSUS_LIMIT,
     _MAX_CLASSIFY_DIM,
     _MAX_CLASSIFY_SIZE,
     DEFAULT_EXCHANGE_TRIALS,
     DEFAULT_INVARIANCE_TRIALS,
     ClassTable,
+    _census,
     _census_payload,
     _map_payload,
     classify,
     verify_paper,
 )
-from .decomp import type_census
 from .equivalence import are_equivalent, find_isomorphism
 from .errors import CapError, CapFileError, InvariantError, NotACapError, TooLargeError, UnknownLabelError
 from .gf2 import MAX_DIM, Point, PointSet, affine_dim
@@ -92,7 +91,7 @@ def _check_payload(s: PointSet) -> dict:
         "dim": cap.dim,
         "is_cap": True,
         "complete": is_complete(cap),
-        "census": _census_payload(type_census(cap) if cap.size <= _CENSUS_LIMIT else None),
+        "census": _census_payload(_census(cap)),
     }
 
 

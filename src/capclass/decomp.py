@@ -26,9 +26,7 @@ from .errors import (
 from .gf2 import (
     Point,
     PointSet,
-    _affine_rank,
-    _columns_of,
-    _greedy_basis_masks,
+    XorBasis,
     _solve_support,
     _support_solver,
     extract_basis,
@@ -161,8 +159,6 @@ def decompose(source: Cap | PointSet, basis: Sequence[Point] | None = None) -> B
             raise InvalidBasisError("basis must be a subset of the decomposed set")
         if len({p.mask for p in chosen}) != len(chosen):
             raise InvalidBasisError("basis contains repeated points")
-        if len(chosen) != _affine_rank(masks) + 1:
-            raise InvalidBasisError("basis does not span the set")
     basis_masks = [p.mask for p in chosen]
     try:
         solver = _support_solver(basis_masks)
@@ -294,31 +290,32 @@ def _basis_scan(masks: tuple[int, ...], bc: int) -> tuple[tuple[tuple[int, ...],
     A bc-subset is a basis exactly when its complement is a basis of the
     dual matroid, whose rows are the dependents' supports over the greedy
     basis plus the dependent itself (over GF(2), [I | A] has dual
-    [A^T | I]).  The scan chooses complements in ascending index order and
-    Gauss-Jordan-eliminates the r dual rows on each chosen column; at a
-    complete complement the rows are the supports over the remaining
-    points.  Results come in ascending index order of the subsets, with
-    bit i = subset position i and dependents in ascending mask order
-    (masks is expected sorted).
+    [A^T | I]).  The r dual rows come from one elimination against the
+    first point, marked by point index.  The scan chooses complements in
+    ascending index order and Gauss-Jordan-eliminates the rows on each
+    chosen column; at a complete complement the rows are the supports
+    over the remaining points.  Results come in ascending index order of
+    the subsets, with bit i = subset position i and dependents in
+    ascending mask order (masks is expected sorted).
     """
     k = len(masks)
     if bc > k:
         return ()
-    greedy = _greedy_basis_masks(masks)
-    if len(greedy) < bc:
-        return ()
-    if len(greedy) > bc:
-        raise InvariantError(f"{bc} points cannot span a set of affine rank {len(greedy) - 1}")
-    index = {m: i for i, m in enumerate(masks)}
-    solver = _support_solver(greedy)
+    # a point whose insert succeeds joins the greedy basis; any other
+    # point's markers name its support over it, plus the first point
+    # whenever their count is even
+    xb = XorBasis()
     rows = []
-    for i, m in enumerate(masks):
-        if m in greedy:
-            continue
-        row = 1 << i
-        for pos in _columns_of(_solve_support(solver, greedy[0], m)):
-            row |= 1 << index[greedy[pos]]
-        rows.append(row)
+    for i in range(1, k):
+        v = masks[i] ^ masks[0]
+        if not xb.insert(v, 1 << i):
+            s = xb.solve(v)
+            rows.append(s | 1 << i | (0 if s.bit_count() & 1 else 1))
+    rank = k - len(rows)
+    if rank < bc:
+        return ()
+    if rank > bc:
+        raise InvariantError(f"{bc} points cannot span a set of affine rank {rank - 1}")
     if not rows:
         return ((tuple(range(k)), ()),)
     out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []

@@ -264,21 +264,15 @@ def _map_from_bases(basis1: tuple[int, ...], basis2: tuple[int, ...], n: int) ->
     t1, t2 = basis1[0], basis2[0]
     src = [m ^ t1 for m in basis1[1:]]
     dst = [m ^ t2 for m in basis2[1:]]
-    # complete both difference sets to bases of the full space in lockstep
-    xb_src = XorBasis()
-    for v in src:
-        xb_src.insert(v)
-    xb_dst = XorBasis()
-    for v in dst:
-        xb_dst.insert(v)
-    for j in range(n):
-        if xb_src.insert(1 << j):
-            for cand in range(n):
-                if xb_dst.insert(1 << cand):
-                    src.append(1 << j)
-                    dst.append(1 << cand)
-                    break
-    # the linear part sends column i of S = src to column i of D = dst: L = D S^-1
+    # extend each by the unit vectors that raise its rank, in index order;
+    # the i-th completions pair up
+    for vectors in (src, dst):
+        xb = XorBasis()
+        for v in vectors:
+            xb.insert(v)
+        vectors.extend(1 << j for j in range(n) if xb.insert(1 << j))
+    # the linear part sends column i of S = src to column i of D = dst: L = D S^-1;
+    # a dependent source leaves S singular or with more than n columns
     try:
         s_map = AffineMap(n, _transpose(src, n), 0)
         linear = AffineMap(n, _transpose(dst, n), 0).compose(s_map.inverse())

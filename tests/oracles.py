@@ -5,6 +5,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from capclass.errors import InvariantError
+from capclass.gf2 import AffineMap, XorBasis
 
 
 def odd_sum_closure(masks: set[int]) -> set[int]:
@@ -345,3 +346,36 @@ def normalize_columns_oracle(
                 m |= 1 << new_idx
         norm.append(m)
     return tuple(norm), old_of_new
+
+
+# The isomorphism builder as it stood when it completed both bases in
+# lockstep, kept as the reference for how a basis of a cap that does not
+# span its space is completed.
+
+
+def map_from_bases_oracle(basis1: tuple[int, ...], basis2: tuple[int, ...], n: int) -> AffineMap:
+    """Invertible map sending basis1[i] to basis2[i], extended linearly."""
+    t1, t2 = basis1[0], basis2[0]
+    src = [m ^ t1 for m in basis1[1:]]
+    dst = [m ^ t2 for m in basis2[1:]]
+    # complete both difference sets to bases of the full space in lockstep
+    xb_src = XorBasis()
+    for v in src:
+        xb_src.insert(v)
+    xb_dst = XorBasis()
+    for v in dst:
+        xb_dst.insert(v)
+    for j in range(n):
+        if xb_src.insert(1 << j):
+            for cand in range(n):
+                if xb_dst.insert(1 << cand):
+                    src.append(1 << j)
+                    dst.append(1 << cand)
+                    break
+    # the linear part sends column i of S = src to column i of D = dst: L = D S^-1
+    try:
+        s_map = AffineMap(n, _transpose(src, n), 0)
+        linear = AffineMap(n, _transpose(dst, n), 0).compose(s_map.inverse())
+    except ValueError as exc:
+        raise InvariantError("completed source basis is singular") from exc
+    return AffineMap(n, linear.rows, t2 ^ linear.apply_mask(t1))

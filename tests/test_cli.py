@@ -20,6 +20,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def cli_env():
+    """The environment for a capclass subprocess that imports this checkout's src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 class TestCapFileFormat:
     def test_render_matches_documented_layout(self):
         text = render_capfile(PointSet(7, (15, 124)))
@@ -136,6 +142,17 @@ class TestCheckCommand:
         code, _, _ = run(capsys, "check", "/nonexistent/never.cap")
         assert code == 3
 
+    @pytest.mark.parametrize("n, census", ((13, None), (12, ["independent"])), ids=("14-points", "13-points"))
+    def test_census_stops_above_thirteen_points(self, tmp_path, capsys, n, census):
+        # the frame of AG(n,2): n + 1 independent points
+        path = tmp_path / "frame.cap"
+        path.write_text(render_capfile(PointSet(n, (0,) + tuple(1 << i for i in range(n)))))
+        code, out, _ = run(capsys, "check", str(path))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["size"] == n + 1
+        assert payload["census"] == census
+
 
 class TestClosureCommand:
     def test_plane_closure(self, tmp_path, capsys):
@@ -144,6 +161,21 @@ class TestClosureCommand:
         code, out, _ = run(capsys, "closure", str(path))
         assert code == 0
         assert parse_capfile(out).sorted_masks() == (0, 1, 2, 3)
+
+    def test_whole_space_is_its_own_closure(self, tmp_path):
+        # every point of AG(11,2): the closure fills the span at once
+        path = tmp_path / "space.cap"
+        text = render_capfile(PointSet(11, range(1 << 11)))
+        path.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "capclass.cli", "closure", str(path)],
+            capture_output=True,
+            text=True,
+            env=cli_env(),
+            timeout=30,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == text
 
 
 class TestEquivCommand:
@@ -249,13 +281,11 @@ class TestClassifyCommand:
         assert "Traceback" not in captured.err
 
     def test_stdout_closed_by_reader_exits_141_quietly(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
         proc = subprocess.Popen(
             [sys.executable, "-m", "capclass.cli", "classify", "6", "10"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env=env,
+            env=cli_env(),
         )
         proc.stdout.close()  # the reader is gone before the first write
         _, err = proc.communicate(timeout=120)

@@ -76,6 +76,11 @@ class TestDecompose:
         with pytest.raises(InvalidBasisError):
             decompose(instantiate("T10_55_2"), FRAME_POINTS[:7])
 
+    def test_spanning_dependent_basis_is_reported_dependent(self):
+        cap = instantiate("T10_55_2")
+        with pytest.raises(InvalidBasisError, match="dependent"):
+            decompose(cap, cap.points.points())
+
     def test_plain_point_sets_are_accepted(self):
         dec = decompose(PointSet(3, (0, 1, 2, 3)))
         assert [p.mask for p, _ in dec.dependents] == [3]

@@ -22,9 +22,14 @@ from capclass.errors import DimensionMismatchError, InvariantError, TooLargeErro
 from capclass.gf2 import AffineMap, Point, PointSet, apply_affine_map, random_invertible_affine
 from capclass.classifier import classify
 from capclass.decomp import _basis_scan
-from capclass.templates import higherdim_pair, instantiate
+from capclass.templates import LABELS, higherdim_pair, instantiate
 
-from oracles import equivalent_by_basis_images, min_column_form_oracle, normalize_columns_oracle
+from oracles import (
+    equivalent_by_basis_images,
+    map_from_bases_oracle,
+    min_column_form_oracle,
+    normalize_columns_oracle,
+)
 
 
 def image_cap(cap, seed):
@@ -121,6 +126,28 @@ class TestFindIsomorphism:
         # 0, 1, 2, 3 is affinely dependent: 3 = 0 ^ 1 ^ 2
         with pytest.raises(InvariantError):
             _map_from_bases((0, 1, 2, 3), (0, 1, 2, 4), 3)
+
+
+def caps_short_of_their_space():
+    """Every template and a seeded 3-9-point sub-cap of it in AG(8..11,2): each spans less than its space."""
+    rng = random.Random(11)
+    for n in (8, 9, 10, 11):
+        for label in LABELS:
+            masks = instantiate(label).sorted_masks()
+            yield Cap(PointSet(n, masks))
+            yield Cap(PointSet(n, rng.sample(masks, rng.randint(3, min(9, len(masks))))))
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+def test_maps_between_caps_short_of_their_space_match_reference(seed):
+    for cap in caps_short_of_their_space():
+        image = image_cap(cap, seed)
+        assert cap.dim < cap.n
+        _, basis1 = _canonical_scan(cap)
+        _, basis2 = _canonical_scan(image)
+        got, want = _map_from_bases(basis1, basis2, cap.n), map_from_bases_oracle(basis1, basis2, cap.n)
+        assert (got.rows, got.translation) == (want.rows, want.translation)
+        assert verify_map(got, cap, image)
 
 
 class TestVerifyMap:
