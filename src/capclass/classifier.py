@@ -1,8 +1,9 @@
 """Classification of caps by size, bound checks, and the verification report.
 
-``classify`` runs orderly generation: it seeds each dimension with the
-affine frame (the unique class of independent (dim+1)-sets), extends
-one representative per class by every admissible point, and dedupes by
+``classify`` generates level by level with isomorph rejection by
+canonical form: it seeds each dimension with the affine frame (the
+unique class of independent (dim+1)-sets), extends one representative
+per class by every admissible point, and keeps the first cap of each
 canonical form, so exactly one representative per affine-equivalence
 class survives.  ``verify_paper`` re-derives the full catalogue of
 classification claims and returns a machine-readable report.
@@ -44,8 +45,6 @@ from .gf2 import (
 from . import templates
 
 _MAX_CLASSIFY_DIM = 8
-_MAX_CLASSIFY_SIZE = _SIZE_LIMIT
-_CENSUS_LIMIT = _DESK_LIMIT
 
 DEFAULT_INVARIANCE_TRIALS = 1000
 DEFAULT_EXCHANGE_TRIALS = 10000
@@ -82,8 +81,8 @@ class ClassTable:
 
 
 def _census(cap: Cap) -> frozenset[ExtendedType] | None:
-    """The cap's type census, or None when it has more than _CENSUS_LIMIT points."""
-    return type_census(cap) if cap.size <= _CENSUS_LIMIT else None
+    """The cap's type census, or None above ``_DESK_LIMIT`` points, the limit of type_census."""
+    return type_census(cap) if cap.size <= _DESK_LIMIT else None
 
 
 def _make_entry(cap: Cap, form: CanonicalForm) -> ClassEntry:
@@ -93,17 +92,19 @@ def _make_entry(cap: Cap, form: CanonicalForm) -> ClassEntry:
 def classify(dim: int, max_size: int) -> ClassTable:
     """Classify the full-dimensional caps of AG(dim,2) up to affine equivalence.
 
-    Rows run from size dim+1 upward, so max_size must exceed dim;
-    generation stops at the first size with no caps (kept as an explicit
-    empty row) or at max_size.  Output is deterministic: candidates are
+    Each level extends one representative per class of the level below
+    and keeps the first cap of each canonical form (isomorph rejection by
+    canonical form).  Rows run from size dim+1 upward, so max_size must
+    exceed dim; generation stops at the first size with no caps (kept as
+    an explicit empty row) or at max_size.  Output is deterministic: candidates are
     tried in ascending mask order and each row is sorted by canonical form.
     """
     if dim > _MAX_CLASSIFY_DIM:
         raise DimensionOverflowError(f"classification supports dim <= {_MAX_CLASSIFY_DIM}")
     if dim < 1:
         raise ValueError("dimension must be at least 1")
-    if max_size > _MAX_CLASSIFY_SIZE:
-        raise TooLargeError(f"classification is desk-scale: max_size <= {_MAX_CLASSIFY_SIZE}")
+    if max_size > _SIZE_LIMIT:
+        raise TooLargeError(f"classification is desk-scale: max_size <= {_SIZE_LIMIT}")
     if max_size <= dim:
         raise ValueError(f"max_size must exceed dim, got {max_size} <= {dim}")
 
@@ -129,7 +130,7 @@ def classify(dim: int, max_size: int) -> ClassTable:
 
 def max_cap_size(dim: int) -> int:
     """Largest size with a non-empty classification row (desk-scale, dim <= 8)."""
-    return classify(dim, _MAX_CLASSIFY_SIZE).max_size()
+    return classify(dim, _SIZE_LIMIT).max_size()
 
 
 def tait_won_bounds(n: int) -> tuple[float, float]:
@@ -635,7 +636,7 @@ def check_toy_oracle() -> tuple[bool, dict]:
     witness: dict = {}
     for dim in DEFAULT_TOY_DIMS:
         oracle = brute_force_class_counts(dim)
-        table = classify(dim, _MAX_CLASSIFY_SIZE)
+        table = classify(dim, _SIZE_LIMIT)
         cls = table.counts()
         sizes = set(oracle) | {s for s, c in cls.items() if c}
         for size in sorted(sizes):

@@ -6,9 +6,11 @@ character is coordinate 1 (bit 0).  Rendered files list points in
 ascending integer order with LF endings; duplicate lines are rejected.
 
 Exit codes: 0 success, 1 claim failure or failed internal check, 2 usage
-error (an unknown label, a classify size outside dim+1..14, or a cap too
-large for an exact computation), 3 parse error (including a header not
-exactly ``capfile v1 n=<n>``), 141 stdout closed early (128 + SIGPIPE).
+error (an unknown label, a classify size outside dim+1..14, a cap too
+large for an exact computation, or a classify --out path that cannot be
+written), 3 parse error (including a header not exactly
+``capfile v1 n=<n>`` and a file that is not UTF-8), 141 stdout closed
+early (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from pathlib import Path
 from .capset import Cap, find_quad, is_complete, quad_closure_1
 from .classifier import (
     _MAX_CLASSIFY_DIM,
-    _MAX_CLASSIFY_SIZE,
     DEFAULT_EXCHANGE_TRIALS,
     DEFAULT_INVARIANCE_TRIALS,
     ClassTable,
@@ -32,7 +33,7 @@ from .classifier import (
     classify,
     verify_paper,
 )
-from .equivalence import are_equivalent, find_isomorphism
+from .equivalence import _SIZE_LIMIT, are_equivalent, find_isomorphism
 from .errors import CapError, CapFileError, InvariantError, NotACapError, TooLargeError, UnknownLabelError
 from .gf2 import MAX_DIM, Point, PointSet, affine_dim
 from .templates import LABELS, instantiate
@@ -75,7 +76,7 @@ def parse_capfile(text: str) -> PointSet:
 def _read_points(path: str) -> PointSet:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CapFileError(f"cannot read {path}: {exc}") from exc
     return parse_capfile(text)
 
@@ -163,15 +164,21 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    table = classify(args.dim, args.max_size)
+    out = None if args.out is None else Path(args.out)
+    try:
+        # the directory comes first, so an unusable path fails before the run
+        if out is not None:
+            out.mkdir(parents=True, exist_ok=True)
+        table = classify(args.dim, args.max_size)
+        if out is not None:
+            for size in sorted(table.rows):
+                for i, entry in enumerate(table.entries(size)):
+                    name = f"dim{table.dim}_size{size}_class{i}.cap"
+                    (out / name).write_text(render_capfile(entry.cap.points), encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        return 2
     print(json.dumps(_table_payload(table), indent=2, sort_keys=True))
-    if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        for size in sorted(table.rows):
-            for i, entry in enumerate(table.entries(size)):
-                name = f"dim{table.dim}_size{size}_class{i}.cap"
-                (out / name).write_text(render_capfile(entry.cap.points), encoding="utf-8")
     return 0
 
 
@@ -218,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify caps by size up to affine equivalence")
     p.add_argument("dim", type=int, choices=range(1, _MAX_CLASSIFY_DIM + 1), metavar="dim",
                    help=f"ambient dimension, 1..{_MAX_CLASSIFY_DIM}")
-    p.add_argument("max_size", type=int, choices=range(1, _MAX_CLASSIFY_SIZE + 1), metavar="max_size",
-                   help=f"largest cap size to classify, dim+1..{_MAX_CLASSIFY_SIZE}")
+    p.add_argument("max_size", type=int, choices=range(1, _SIZE_LIMIT + 1), metavar="max_size",
+                   help=f"largest cap size to classify, dim+1..{_SIZE_LIMIT}")
     p.add_argument("--out", help="directory for one cap file per representative")
     p.set_defaults(func=_cmd_classify)
 

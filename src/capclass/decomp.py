@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 from .capset import Cap
 from .errors import (
     BadIndexError,
-    DependentBasisError,
     ExchangeHypothesisViolated,
     InvalidBasisError,
     InvariantError,
@@ -26,9 +25,8 @@ from .errors import (
 from .gf2 import (
     Point,
     PointSet,
-    XorBasis,
+    _affine_elimination,
     _solve_support,
-    _support_solver,
     extract_basis,
 )
 
@@ -160,10 +158,9 @@ def decompose(source: Cap | PointSet, basis: Sequence[Point] | None = None) -> B
         if len({p.mask for p in chosen}) != len(chosen):
             raise InvalidBasisError("basis contains repeated points")
     basis_masks = [p.mask for p in chosen]
-    try:
-        solver = _support_solver(basis_masks)
-    except DependentBasisError as exc:
-        raise InvalidBasisError("basis is affinely dependent") from exc
+    solver, dependent = _affine_elimination(basis_masks)
+    if dependent:
+        raise InvalidBasisError("basis is affinely dependent")
     in_basis = set(basis_masks)
     deps: list[tuple[Point, int]] = []
     for m in masks:
@@ -301,16 +298,10 @@ def _basis_scan(masks: tuple[int, ...], bc: int) -> tuple[tuple[tuple[int, ...],
     k = len(masks)
     if bc > k:
         return ()
-    # a point whose insert succeeds joins the greedy basis; any other
-    # point's markers name its support over it, plus the first point
-    # whenever their count is even
-    xb = XorBasis()
-    rows = []
-    for i in range(1, k):
-        v = masks[i] ^ masks[0]
-        if not xb.insert(v, 1 << i):
-            s = xb.solve(v)
-            rows.append(s | 1 << i | (0 if s.bit_count() & 1 else 1))
+    # the points whose insert fails are the dependents of the greedy
+    # basis; each row is a dependent's support over it plus the point itself
+    xb, dependent = _affine_elimination(masks)
+    rows = [_solve_support(xb, masks[0], masks[i]) | 1 << i for i in dependent]
     rank = k - len(rows)
     if rank < bc:
         return ()

@@ -278,19 +278,30 @@ def xor_sum(points: Sequence[Point]) -> Point:
     return Point(acc, n)
 
 
-def _span_masks(masks: Sequence[int]) -> set[int]:
+def _affine_elimination(masks: Sequence[int]) -> tuple[XorBasis, list[int]]:
+    """Eliminate masks[i] ^ masks[0] for i >= 1 under marker bit i.
+
+    Returns the solver and the indices whose insert failed: the points
+    that depend on the ones before them.  The others, with masks[0],
+    form the greedy affine basis, and the solver's markers name subsets
+    of it.
+    """
     t = masks[0]
     xb = XorBasis()
-    for m in masks[1:]:
-        xb.insert(m ^ t)
+    dependent = [i for i in range(1, len(masks)) if not xb.insert(masks[i] ^ t, 1 << i)]
+    return xb, dependent
+
+
+def _span_masks(masks: Sequence[int]) -> set[int]:
+    t = masks[0]
     span = [0]
-    for vec, _ in xb.table.values():
+    for vec, _ in _affine_elimination(masks)[0].table.values():
         span += [s ^ vec for s in span]
     return {s ^ t for s in span}
 
 
 def _affine_rank(masks: Sequence[int]) -> int:
-    return len(_greedy_basis_masks(masks)) - 1
+    return len(masks) - 1 - len(_affine_elimination(masks)[1])
 
 
 def affine_span(s: PointSet) -> PointSet:
@@ -314,34 +325,17 @@ def is_affinely_independent(s: PointSet) -> bool:
     return affine_dim(s) == len(s) - 1
 
 
-def _greedy_basis_masks(sorted_masks: Sequence[int]) -> list[int]:
-    first = sorted_masks[0]
-    chosen = [first]
-    xb = XorBasis()
-    for m in sorted_masks[1:]:
-        if xb.insert(m ^ first):
-            chosen.append(m)
-    return chosen
-
-
 def extract_basis(s: PointSet) -> tuple[Point, ...]:
     """Deterministic affine basis: scan ascending masks, keep rank-increasing points."""
     if len(s) == 0:
         raise EmptyInputError("basis of the empty set")
-    return tuple(Point(m, s.n) for m in _greedy_basis_masks(s.sorted_masks()))
-
-
-def _support_solver(basis_masks: Sequence[int]) -> XorBasis:
-    """Solver whose markers are basis positions 1..m; raises if basis is dependent."""
-    t = basis_masks[0]
-    xb = XorBasis()
-    for i, m in enumerate(basis_masks[1:], start=1):
-        if not xb.insert(m ^ t, 1 << i):
-            raise DependentBasisError("basis is affinely dependent")
-    return xb
+    masks = s.sorted_masks()
+    dependent = set(_affine_elimination(masks)[1])
+    return tuple(Point(m, s.n) for i, m in enumerate(masks) if i not in dependent)
 
 
 def _solve_support(xb: XorBasis, t: int, x: int) -> int | None:
+    """Odd subset of the basis behind xb (first point t) XORing to x; None outside its span."""
     marker = xb.solve(x ^ t)
     if marker is None:
         return None
@@ -357,7 +351,9 @@ def coordinates(basis: Sequence[Point], x: Point) -> int:
         raise EmptyInputError("coordinates with respect to an empty basis")
     _require_same_n(list(basis) + [x])
     basis_masks = [p.mask for p in basis]
-    xb = _support_solver(basis_masks)
+    xb, dependent = _affine_elimination(basis_masks)
+    if dependent:
+        raise DependentBasisError("basis is affinely dependent")
     support = _solve_support(xb, basis_masks[0], x.mask)
     if support is None:
         raise NotInSpanError(f"point {x.mask} is outside the span of the basis")

@@ -142,6 +142,16 @@ class TestCheckCommand:
         code, _, _ = run(capsys, "check", "/nonexistent/never.cap")
         assert code == 3
 
+    @pytest.mark.parametrize("command", ("check", "closure", "equiv"))
+    def test_file_not_utf8_exits_3(self, tmp_path, capsys, command):
+        path = tmp_path / "latin.cap"
+        path.write_bytes(b"capfile v1 n=3\n\xff01\n")
+        files = [str(path)] * (2 if command == "equiv" else 1)
+        code, out, err = run(capsys, command, *files)
+        assert code == 3
+        assert out == ""
+        assert "error: cannot read" in err
+
     @pytest.mark.parametrize("n, census", ((13, None), (12, ["independent"])), ids=("14-points", "13-points"))
     def test_census_stops_above_thirteen_points(self, tmp_path, capsys, n, census):
         # the frame of AG(n,2): n + 1 independent points
@@ -257,6 +267,17 @@ class TestClassifyCommand:
         assert written == ["dim3_size4_class0.cap"]
         rep = parse_capfile((out_dir / written[0]).read_text())
         assert len(rep) == 4
+
+    @pytest.mark.parametrize("under", (False, True), ids=("file", "under-file"))
+    def test_unusable_output_directory_exits_2(self, tmp_path, capsys, under):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out_dir = blocker / "reps" if under else blocker
+        code, out, err = run(capsys, "classify", "3", "6", "--out", str(out_dir))
+        assert code == 2
+        assert out == ""
+        assert "error: cannot write" in err
+        assert "Traceback" not in err
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "classify", "3", "6")

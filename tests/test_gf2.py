@@ -80,6 +80,10 @@ class TestAffineSpan:
         assert expected == set(range(128))
         assert affine_span(PointSet(7, FRAME7)).masks == frozenset(range(128))
 
+    @given(point_sets(max_size=7, max_n=5))
+    def test_matches_odd_sum_closure(self, s):
+        assert affine_span(s).masks == odd_sum_closure(set(s.sorted_masks()))
+
     def test_idempotent_and_power_of_two(self):
         s = pset(5, 3, 7, 19, 21)
         span = affine_span(s)
