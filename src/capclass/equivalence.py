@@ -8,17 +8,19 @@ affine equivalence (two caps whose dependents fit a common template
 are equivalent, and the form is the minimal such template).
 
 The minimisation runs in two levels: enumerate basis subsets, then
-branch-and-bound over the assignment of basis points to positions,
-pruning a partial assignment as soon as the masks it has already
-finalised cannot beat the incumbent.  Per-subset minima depend only on
-the multiset of raw supports and are memoised twice: on the raw
-supports, and on the supports after a label-insensitive relabeling of
-the columns, so the branch-and-bound runs once per relabeled multiset.
-That relabeling colors each column by refinement over the supports; a
+find the least column order of each subset's supports by refining an
+ordered partition of the columns one support at a time, in the manner
+of canonical labelling (McKay & Piperno 2014), over the r supports
+rather than over the columns.  Ties between minimising orders go to the
+lexicographically least order.  Per-subset minima depend only on the
+multiset of raw supports and are memoised twice: on the raw supports,
+and on the supports after a label-insensitive relabeling of the
+columns, so the refinement runs once per relabeled multiset.  That
+relabeling colors each column by refinement over the supports; a
 column's color depends only on its signature (the set of supports that
-hold it) and on the multiset of all signatures, so the refinement runs
-once per signature multiset and its signature -> color map is memoised
-too.
+hold it) and on the multiset of all signatures, so the color refinement
+runs once per signature multiset and its signature -> color map is
+memoised too.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ _SIZE_LIMIT = 14
 # Two memo levels keyed on the support multiset.  Affine images of one cap
 # present the same structures under permuted column labels, so raw keys
 # (exact masks) recur within a run while the normalized keys below collapse
-# relabelings of the same structure; the branch-and-bound runs only once
+# relabelings of the same structure; the row refinement runs only once
 # per normalized key.  Normalizing a raw miss needs the column colors, which
 # _COLOR_CACHE holds per multiset of column signatures.  All three are
 # cleared whenever they reach _RAW_CACHE_LIMIT.
@@ -64,70 +66,67 @@ def _min_column_form(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Minimal sorted support-mask tuple over all column orders, with the order.
 
-    Columns carried by no support can always be pushed past every
-    support column without increasing any mask, so they are assigned
-    last; columns with identical support membership are interchangeable
-    and only one per class is branched on.  The search extends one shared
-    partial assignment in place and undoes each step after its subtree.
+    The minimum is found by choosing rows, not columns.  An ordered
+    partition of the support columns into cells fixes which block of
+    positions each cell fills, and a row's packed value (its columns
+    lowest in every cell) is the least mask it can take.  The smallest
+    packed value m among the unchosen rows is the next entry of the
+    minimum: every row worth m is tried, and choosing it splits each
+    cell into the columns that hold it, then the rest.  A row reaches m
+    only with its columns lowest in every cell, so every optimal order
+    agrees with one of these branches, and after all rows each cell is
+    one signature class (the set of supports that hold a column).
+
+    Every optimal order lists the classes in the cell order of some
+    branch, each class's columns in any order, with the columns carried
+    by no support last.  The tie rule returns the lexicographically least
+    of them.  That is the order of the first optimal leaf of a
+    column-by-column search that ranks the classes at each position by
+    the least (leftover count, partial mask) of their rows, then by
+    lowest free column: the next class of an optimal branch holds the
+    branch's first unfinished row, whose (leftover, partial) is least
+    among all unfinished rows, so the classes that continue an optimal
+    order tie on the first key and the lowest column decides.
     """
-    # one entry per distinct nonzero signature: its columns and its supports
     member = _transpose(sups, ncols)
     cols_of: dict[int, int] = {}
+    held = 0
     for c, sig in enumerate(member):
         if sig:
             cols_of[sig] = cols_of.get(sig, 0) | 1 << c
-    classes = [(cols, _columns_of(sig)) for sig, cols in cols_of.items()]
-    partial = [0] * len(sups)
-    remaining = [s.bit_count() for s in sups]
-    order: list[int] = []
+            held |= 1 << c
 
-    best_masks: tuple[int, ...] | None = None
-    best_order: tuple[int, ...] | None = None
-
-    def rec(avail: int, lbs: list[int]) -> None:
-        # lbs bounds each support from below: it finishes at or above its
-        # partial with its leftover bits packed low.  A finished support's
-        # bound is its mask, which is below every unfinished one, so the
-        # sorted bounds bound every completion of this node.
-        nonlocal best_masks, best_order
-        if not any(remaining):
-            # the parent let this node past the cut, so it beats the incumbent
-            best_masks, best_order = tuple(sorted(lbs)), tuple(order) + tuple(_columns_of(avail))
-            return
-        # branch on the lowest free column of each signature class
-        keys = list(zip(lbs, remaining))
-        scored = []
-        for cols, rows in classes:
-            free = cols & avail
-            if free:
-                scored.append((min(map(keys.__getitem__, rows)), (free & -free).bit_length() - 1, rows))
-        scored.sort()
-        pos = len(order)
-        bit = 1 << pos
-        # a child's bounds: its new column keeps the bounds of the supports
-        # that hold it, and every other support's leftover moves up one place
-        shifted = [p | ((1 << rem) - 1) << (pos + 1) for p, rem in zip(partial, remaining)]
-        for _, c, rows in scored:
-            child = shifted.copy()
-            for s in rows:
-                child[s] = lbs[s]
-            # a child that cannot beat the incumbent is cut
-            if best_masks is not None and tuple(sorted(child)) >= best_masks:
-                continue
-            for s in rows:
-                partial[s] |= bit
-                remaining[s] -= 1
-            order.append(c)
-            rec(avail ^ (1 << c), child)
-            order.pop()
-            for s in rows:
-                partial[s] ^= bit
-                remaining[s] += 1
-
-    rec((1 << ncols) - 1, [(1 << rem) - 1 for rem in remaining])
-    if best_masks is None or best_order is None:
-        raise InvariantError(f"no column order finalised the supports {sups}")
-    return best_masks, best_order
+    # every ordered partition that an optimal prefix of rows reaches, level by level
+    masks: list[int] = []
+    states = {(0, (held,) if held else ()): None}
+    for _ in sups:
+        best = -1
+        branches: list[tuple[int, tuple[int, ...], int]] = []
+        for chosen, cells in states:
+            for s, sup in enumerate(sups):
+                if chosen >> s & 1:
+                    continue
+                value = start = 0
+                for cell in cells:
+                    value |= ((1 << (cell & sup).bit_count()) - 1) << start
+                    start += cell.bit_count()
+                if value < best or best < 0:
+                    best, branches = value, []
+                if value == best:
+                    branches.append((chosen | 1 << s, cells, sup))
+        masks.append(best)
+        states = {}
+        for chosen, cells, sup in branches:
+            split = [part for cell in cells for part in (cell & sup, cell & ~sup) if part]
+            states[chosen, tuple(split)] = None
+    if not states:
+        raise InvariantError(f"no row order finalised the supports {sups}")
+    for _, cells in states:
+        for cell in cells:
+            if cols_of[member[(cell & -cell).bit_length() - 1]] != cell:
+                raise InvariantError(f"a final cell of the supports {sups} holds two signatures")
+    order = min([c for cell in cells for c in _columns_of(cell)] for _, cells in states)
+    return tuple(masks), tuple(order + _columns_of(((1 << ncols) - 1) & ~held))
 
 
 def _signature_colors(r: int, sigs: tuple[int, ...]) -> dict[int, int]:

@@ -211,8 +211,10 @@ def no_thirteen_cap_structure() -> bool:
 
 
 # The two per-basis form kernels as they stood before the signature memo
-# and the in-place branch-and-bound, kept as the differential reference,
-# with their bit helpers, so that they share no code with the library.
+# and the row-order refinement: the column normalisation and the
+# column-by-column branch-and-bound, whose first optimal leaf fixes the
+# tie rule.  They are kept as the differential reference, with their bit
+# helpers, so that they share no code with the library.
 
 
 def _transpose(vectors, n):

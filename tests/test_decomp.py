@@ -2,7 +2,9 @@ import os
 import random
 import subprocess
 import sys
+from functools import reduce
 from itertools import combinations, permutations
+from operator import xor
 from pathlib import Path
 
 import pytest
@@ -24,12 +26,20 @@ from capclass.decomp import (
 )
 from capclass.errors import (
     BadIndexError,
+    EmptyInputError,
     ExchangeHypothesisViolated,
     InvalidBasisError,
     InvariantError,
     TooLargeError,
 )
-from capclass.gf2 import Point, PointSet, apply_affine_map, is_affinely_independent, random_invertible_affine
+from capclass.gf2 import (
+    Point,
+    PointSet,
+    apply_affine_map,
+    extract_basis,
+    is_affinely_independent,
+    random_invertible_affine,
+)
 from capclass.templates import FRAME_MASKS, LABELS, generating_basis, higherdim_pair, instantiate
 
 FRAME_POINTS = tuple(Point(m, 7) for m in FRAME_MASKS)
@@ -85,6 +95,26 @@ class TestDecompose:
         dec = decompose(PointSet(3, (0, 1, 2, 3)))
         assert [p.mask for p, _ in dec.dependents] == [3]
         assert dec.support_masks() == (0b111,)
+
+    def test_empty_set_has_no_greedy_basis(self):
+        with pytest.raises(EmptyInputError):
+            decompose(PointSet(3, ()))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 8).flatmap(
+        lambda n: st.tuples(st.just(n), st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=14))))
+    def test_greedy_path_agrees_with_the_supplied_path(self, case):
+        # with no basis, decompose takes extract_basis's basis; each support
+        # must be an odd subset of it that XORs to its point
+        n, masks = case
+        pts = PointSet(n, masks)
+        dec = decompose(pts)
+        assert dec.basis == extract_basis(pts)
+        assert decompose(pts, dec.basis) == dec
+        for p, sup in dec.dependents:
+            chosen = [b.mask for i, b in enumerate(dec.basis) if sup >> i & 1]
+            assert len(chosen) % 2 == 1
+            assert reduce(xor, chosen) == p.mask
 
 
 class TestSupportIntersection:

@@ -1,5 +1,6 @@
 import random
-from itertools import permutations
+from functools import cache
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -261,6 +262,43 @@ def seeded_kernel_inputs():
     return cases
 
 
+def tie_heavy_inputs():
+    """(sups, ncols) with r = 5, 6 whose signatures are whole orbits of the
+    row permutations (every row of one size, every pair meeting equally),
+    once or twice each, with or without an empty column; many column
+    orders tie for the minimum, so the returned order rests on the tie rule."""
+    rng = random.Random(11)
+    cases = []
+    for r in (5, 6):
+        for ks in [(k,) for k in range(1, r + 1)] + list(combinations(range(1, r + 1), 2)):
+            orbits = [sum(1 << s for s in rows) for k in ks for rows in combinations(range(r), k)]
+            for copies in (1, 2):
+                for empty in (0, 1):
+                    sigs = orbits * copies + [0] * empty
+                    if len(sigs) <= 10:
+                        rng.shuffle(sigs)
+                        cases.append((supports_from_signatures(sigs, r), len(sigs)))
+    return cases
+
+
+# The classify(8, 13) representatives, each the frame {0, e_1, ..., e_8}
+# of AG(8,2) plus these points.
+CLASSIFY_8_13_EXTRAS = (
+    (), (15,), (63,), (255,), (15, 51), (15, 113), (15, 240), (15, 243),
+    (15, 51, 85), (15, 51, 195), (15, 51, 197), (15, 51, 212), (15, 113, 182),
+    (15, 51, 85, 106), (15, 51, 85, 150), (15, 51, 85, 154), (15, 51, 85, 170), (15, 51, 85, 232),
+)
+
+
+def dim8_normalized_basis_rows():
+    """The basis rows of the classify(8, 13) representatives (ncols = 9),
+    relabeled, one per normalized key."""
+    frame = (0,) + tuple(1 << i for i in range(8))
+    rows = {(sups, 9) for extra in CLASSIFY_8_13_EXTRAS for _, sups in _basis_scan(tuple(sorted(frame + extra)), 9)}
+    return sorted({(tuple(sorted(normalize_columns_oracle(*row)[0])), row[1]) for row in rows})
+
+
+@cache
 def classified_basis_rows():
     """Every basis row of the classify(7,13) and classify(6,10)
     representatives and of two seeded affine images of each."""
@@ -275,13 +313,13 @@ def classified_basis_rows():
 
 
 def normalized_basis_rows():
-    """The classified basis rows as the form cache hands them to the
-    branch-and-bound: relabeled, one per normalized key."""
+    """The classified basis rows as the form cache hands them to
+    _min_column_form: relabeled, one per normalized key."""
     return sorted({(tuple(sorted(normalize_columns_oracle(*row)[0])), row[1]) for row in classified_basis_rows()})
 
 
 class TestFormKernelsMatchReference:
-    """The memoised normalisation and the in-place branch-and-bound return
+    """The memoised normalisation and the row-order refinement return
     exactly what the reference kernels in tests/oracles.py return."""
 
     def test_seeded_inputs_cover_repeats_and_empty_columns(self):
@@ -298,10 +336,19 @@ class TestFormKernelsMatchReference:
         for sups, ncols in inputs():
             assert _normalize_columns(sups, ncols) == normalize_columns_oracle(sups, ncols), (sups, ncols)
 
-    @pytest.mark.parametrize("inputs", (seeded_kernel_inputs, normalized_basis_rows))
+    @pytest.mark.parametrize(
+        "inputs", (seeded_kernel_inputs, normalized_basis_rows, tie_heavy_inputs, dim8_normalized_basis_rows)
+    )
     def test_min_column_form(self, inputs):
         for sups, ncols in inputs():
             assert _min_column_form(sups, ncols) == min_column_form_oracle(sups, ncols), (sups, ncols)
+
+    def test_cell_with_two_signatures_raises(self, monkeypatch):
+        # a membership table that disagrees with the supports leaves two
+        # signatures in one final cell; the check must survive python -O
+        monkeypatch.setattr(equivalence, "_transpose", lambda vectors, n: (1, 2))
+        with pytest.raises(InvariantError, match="two signatures"):
+            _min_column_form((0b11,), 2)
 
 
 def test_form_caches_stay_bounded(monkeypatch):

@@ -1,4 +1,4 @@
-"""Byte-exact output pins for the two commands that every refactor must keep.
+"""Byte-exact output pins for the commands that every refactor must keep.
 
 The digests were taken from the stdout of a fresh ``capclass`` process.
 A change that alters any output byte, even with the same verdicts, fails
@@ -21,10 +21,62 @@ GOLDEN = {
         "2debcd51095565c152cdd576657a41b64c7b0de7d4ef044d6267b02f20dbf921",
 }
 
+# `capclass equiv` on a cap and an affine image of it: (n, points of a,
+# points of b) -> stdout digest.  Three spanning 12-caps in AG(8,2), of
+# three classes, and two spanning 13-caps in AG(9,2); each basis has three
+# dependents over 9 or 10 columns.  These caps have non-trivial affine
+# groups, so the map printed depends on which minimising column order each
+# basis takes; all but the third pair change if the columns of one
+# signature class are taken in descending order.
+EQUIV_GOLDEN = {
+    (
+        8,
+        (9, 27, 31, 51, 100, 124, 140, 141, 143, 145, 196, 253),
+        (6, 9, 38, 42, 45, 88, 110, 118, 135, 174, 179, 244),
+    ): "93ea0f689227533d34a4b7557ec87912a739f94d4f7dc264e3320baaa277d0b6",
+    (
+        8,
+        (23, 48, 72, 87, 101, 116, 136, 142, 168, 177, 193, 223),
+        (33, 71, 83, 90, 99, 120, 139, 152, 176, 208, 228, 236),
+    ): "f19ce8748ba675adf134f368a1c30502979f70d34b823ddb10e47ee08465be9c",
+    (
+        8,
+        (2, 47, 63, 65, 87, 97, 120, 133, 153, 158, 159, 161),
+        (16, 35, 55, 64, 87, 118, 163, 175, 209, 211, 241, 252),
+    ): "efdca56fd94b97a7cb83e76d17ebe28555f784c392e1f00146c05080739a76fb",
+    (
+        9,
+        (40, 52, 94, 181, 233, 252, 312, 316, 351, 439, 447, 473, 511),
+        (2, 94, 124, 166, 215, 227, 290, 403, 417, 444, 457, 462, 485),
+    ): "67cff9531f3bf7f806ee09bd05e576bd675e2d3d9377e1b504d5a0c2e5574fdc",
+    (
+        9,
+        (121, 150, 174, 183, 192, 212, 222, 265, 312, 358, 386, 408, 417),
+        (10, 21, 56, 68, 78, 137, 168, 181, 215, 226, 239, 345, 432),
+    ): "f0a080492194114da673b59da8ffa31fa4dc4b6ad6f31840a9b5a5bc17835a97",
+}
 
-@pytest.mark.parametrize("argv", list(GOLDEN), ids=lambda argv: " ".join(argv))
-def test_stdout_digest_is_pinned(argv):
+
+def run_cli(*argv):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
     done = subprocess.run([sys.executable, "-m", "capclass.cli", *argv], env=env, capture_output=True)
     assert done.returncode == 0, done.stderr.decode()
-    assert hashlib.sha256(done.stdout).hexdigest() == GOLDEN[argv]
+    return hashlib.sha256(done.stdout).hexdigest()
+
+
+def capfile_text(n, masks):
+    """A cap file written by hand: the header, then each point with coordinate 1 leftmost."""
+    return "".join([f"capfile v1 n={n}\n"] + ["".join(str(m >> i & 1) for i in range(n)) + "\n" for m in masks])
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=lambda argv: " ".join(argv))
+def test_stdout_digest_is_pinned(argv):
+    assert run_cli(*argv) == GOLDEN[argv]
+
+
+@pytest.mark.parametrize("pair", list(EQUIV_GOLDEN), ids=lambda pair: f"dim{pair[0]}-{len(pair[1])}cap-{pair[1][0]}")
+def test_equiv_digest_is_pinned(pair, tmp_path):
+    n, a, b = pair
+    (tmp_path / "a.cap").write_text(capfile_text(n, a), encoding="utf-8")
+    (tmp_path / "b.cap").write_text(capfile_text(n, b), encoding="utf-8")
+    assert run_cli("equiv", str(tmp_path / "a.cap"), str(tmp_path / "b.cap")) == EQUIV_GOLDEN[pair]
