@@ -15,7 +15,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import wraps
 from itertools import combinations
 from typing import Callable, Mapping
 
@@ -35,7 +35,6 @@ from .errors import DimensionOverflowError, InvariantError, NotACapError, TooLar
 from .gf2 import (
     Point,
     PointSet,
-    XorBasis,
     _affine_rank,
     _columns_of,
     affine_span,
@@ -145,33 +144,10 @@ def tait_won_bounds(n: int) -> tuple[float, float]:
 # Independent brute-force oracle (toy dimensions)
 
 
-@lru_cache(maxsize=None)
-def _invertible_matrices(dim: int) -> tuple[tuple[int, ...], ...]:
-    """All invertible dim x dim GF(2) matrices as column tuples."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(cols: list[int], xb: XorBasis) -> None:
-        if len(cols) == dim:
-            out.append(tuple(cols))
-            return
-        for v in range(1, 1 << dim):
-            nxt = xb.copy()
-            if nxt.insert(v):
-                rec(cols + [v], nxt)
-
-    rec([], XorBasis())
-    return tuple(out)
-
-
-def _apply_columns(cols: tuple[int, ...], x: int) -> int:
-    y = 0
-    j = 0
-    while x:
-        if x & 1:
-            y ^= cols[j]
-        x >>= 1
-        j += 1
-    return y
+def _transvections(dim: int) -> list[tuple[int, int]]:
+    """The elementary transvections x -> x ^ x_i e_j (i != j) as (bit i, e_j);
+    they generate GL(dim,2)."""
+    return [(1 << i, 1 << j) for i in range(dim) for j in range(dim) if i != j]
 
 
 def brute_force_class_counts(dim: int) -> dict[int, int]:
@@ -179,8 +155,8 @@ def brute_force_class_counts(dim: int) -> dict[int, int]:
 
     Enumerates every cap through 0 spanning AG(dim,2) directly from the
     definition (pairwise XOR collisions) and groups them by orbit under
-    the full affine group, applied element by element.  Only sensible
-    for dim <= 4.
+    the full affine group: translations, then the transvections that
+    generate GL(dim,2).  Only sensible for dim <= 4.
     """
     if dim > 4:
         raise TooLargeError("brute-force classification is limited to dim <= 4")
@@ -198,19 +174,24 @@ def brute_force_class_counts(dim: int) -> dict[int, int]:
 
     dfs([0], set(), 1)
 
-    mats = _invertible_matrices(dim)
+    moves = _transvections(dim)
     seen: set[frozenset[int]] = set()
     counts: dict[int, int] = {}
     for size in sorted(caps_by_size):
         for cap in caps_by_size[size]:
-            key = frozenset(cap)
-            if key in seen:
+            if frozenset(cap) in seen:
                 continue
             counts[size] = counts.get(size, 0) + 1
-            for cols in mats:
-                image = [_apply_columns(cols, x) for x in cap]
-                for p in image:
-                    seen.add(frozenset(q ^ p for q in image))
+            # the orbit's caps through 0: the cap's translates, closed under the generators
+            frontier = [frozenset(q ^ p for q in cap) for p in cap]
+            seen.update(frontier)
+            while frontier:
+                pts = frontier.pop()
+                for bit, e in moves:
+                    image = frozenset(x ^ e if x & bit else x for x in pts)
+                    if image not in seen:
+                        seen.add(image)
+                        frontier.append(image)
     return counts
 
 

@@ -8,19 +8,18 @@ affine equivalence (two caps whose dependents fit a common template
 are equivalent, and the form is the minimal such template).
 
 The minimisation runs in two levels: enumerate basis subsets, then
-find the least column order of each subset's supports by refining an
-ordered partition of the columns one support at a time, in the manner
-of canonical labelling (McKay & Piperno 2014), over the r supports
-rather than over the columns.  Ties between minimising orders go to the
-lexicographically least order.  Per-subset minima depend only on the
-multiset of raw supports and are memoised twice: on the raw supports,
-and on the supports after a label-insensitive relabeling of the
-columns, so the refinement runs once per relabeled multiset.  That
-relabeling colors each column by refinement over the supports; a
-column's color depends only on its signature (the set of supports that
-hold it) and on the multiset of all signatures, so the color refinement
-runs once per signature multiset and its signature -> color map is
-memoised too.
+find the least sorted support masks of each subset over all column
+orders by refining an ordered partition of the columns one support at a
+time, in the manner of canonical labelling (McKay & Piperno 2014), over
+the r supports rather than over the columns.  A basis's least masks do
+not depend on its column labels, so they are memoised twice: on the raw
+supports, and on a label-free key, the sorted signatures of the columns
+(the set of supports that hold each column); the refinement runs once
+per label-free key.  As canonical labelling separates comparing
+certificates from building the labelling, only the winning basis is
+ordered: its columns are relabeled by refined incidence colors, the
+refinement runs once more, and ties between minimising orders go to the
+lexicographically least order.
 """
 
 from __future__ import annotations
@@ -34,17 +33,17 @@ from .gf2 import AffineMap, XorBasis, _columns_of, _transpose
 
 _SIZE_LIMIT = 14
 
-# Two memo levels keyed on the support multiset.  Affine images of one cap
-# present the same structures under permuted column labels, so raw keys
-# (exact masks) recur within a run while the normalized keys below collapse
-# relabelings of the same structure; the row refinement runs only once
-# per normalized key.  Normalizing a raw miss needs the column colors, which
-# _COLOR_CACHE holds per multiset of column signatures.  All three are
-# cleared whenever they reach _RAW_CACHE_LIMIT.
-_RAW_FORM_CACHE: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-_NORM_FORM_CACHE: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-_COLOR_CACHE: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
+# Two memo levels of per-basis least masks.  Affine images of one cap
+# present the same supports under permuted column labels, so raw keys
+# (exact supports) recur within a run, while the label-free key (support
+# count and sorted column signatures) collapses every relabeling of one
+# structure.  Both are cleared whenever they reach _RAW_CACHE_LIMIT.
+_RAW_FORM_CACHE: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
+_NORM_FORM_CACHE: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
 _RAW_CACHE_LIMIT = 400_000
+
+# a cap's least per-basis masks, with the subset and supports of the first basis reaching them
+_Least = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True, order=True)
@@ -173,82 +172,93 @@ def _normalize_columns(
     and stopping early once the column colors are stable.  Colors are
     interned as ranks of their sorted keys, so they do not depend on the
     incoming labeling; any residual ties fall back to the original index.
-    A column's color depends only on its signature and on the multiset of
-    all signatures, so the signature -> color map is memoised on that
-    multiset in ``_COLOR_CACHE``.  Any deterministic relabeling is sound
-    here because the minimum taken afterwards ranges over all column
-    orders anyway.
+    Any deterministic relabeling is sound here because the minimum taken
+    afterwards ranges over all column orders anyway.
     """
-    r = len(sups)
     member = _transpose(sups, ncols)
-    key = (r, tuple(sorted(member)))
-    colors = _COLOR_CACHE.get(key)
-    if colors is None:
-        colors = _signature_colors(r, key[1])
-        _cache_put(_COLOR_CACHE, key, colors, _RAW_CACHE_LIMIT)
+    colors = _signature_colors(len(sups), member)
     # a stable sort of the ascending labels breaks color ties by original index
     old_of_new = tuple(sorted(range(ncols), key=[colors[sig] for sig in member].__getitem__))
-    return _transpose([member[old] for old in old_of_new], r), old_of_new
+    return _transpose([member[old] for old in old_of_new], len(sups)), old_of_new
+
+
+def _basis_masks(sups: tuple[int, ...], ncols: int) -> tuple[int, ...]:
+    """Least sorted support masks of one basis over all column orders.
+
+    Memoised on the raw supports, then on the label-free key: supports
+    with the same multiset of column signatures differ only by a column
+    permutation, and the minimum ranges over every column order.
+    """
+    # two supports have a closed-form minimum: pack the smaller support
+    # into the low positions, its intersection with the other lowest of all
+    if len(sups) == 2:
+        a, b = sorted(sups, key=lambda sup: (sup.bit_count(), sup))
+        sa, si = a.bit_count(), (a & b).bit_count()
+        return tuple(sorted(((1 << sa) - 1, (1 << si) - 1 | ((1 << b.bit_count() - si) - 1) << sa)))
+    raw_key = (ncols, tuple(sorted(sups)))
+    masks = _RAW_FORM_CACHE.get(raw_key)
+    if masks is None:
+        # the support count keeps the key exact when a support is empty
+        norm_key = (len(sups), tuple(sorted(_transpose(sups, ncols))))
+        masks = _NORM_FORM_CACHE.get(norm_key)
+        if masks is None:
+            masks = _min_column_form(_transpose(norm_key[1], len(sups)), ncols)[0]
+            _cache_put(_NORM_FORM_CACHE, norm_key, masks, _RAW_CACHE_LIMIT)
+        _cache_put(_RAW_FORM_CACHE, raw_key, masks, _RAW_CACHE_LIMIT)
+    return masks
 
 
 def _minimal_form_for_supports(
     sups: tuple[int, ...], ncols: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # two supports have a closed-form minimum: pack the smaller support
-    # into the low positions, its intersection with the other lowest of all
+    """The masks of _basis_masks with the column order the tie rule picks
+    after normalisation; uncached, it runs once per ordered basis."""
     if len(sups) == 2:
-        a, b = sups
-        if (a.bit_count(), a) > (b.bit_count(), b):
-            a, b = b, a
-        shared = a & b
-        order = (
-            _columns_of(shared)
-            + _columns_of(a & ~b)
-            + _columns_of(b & ~a)
-            + _columns_of(~(a | b) & ((1 << ncols) - 1))
-        )
-        sa, si = a.bit_count(), shared.bit_count()
-        mask_a = (1 << sa) - 1
-        mask_b = ((1 << si) - 1) | (((1 << (b.bit_count() - si)) - 1) << sa)
-        return tuple(sorted((mask_a, mask_b))), tuple(order)
-
-    raw_key = (ncols, tuple(sorted(sups)))
-    hit = _RAW_FORM_CACHE.get(raw_key)
-    if hit is not None:
-        return hit
+        a, b = sorted(sups, key=lambda sup: (sup.bit_count(), sup))
+        rest = ~(a | b) & ((1 << ncols) - 1)
+        order = _columns_of(a & b) + _columns_of(a & ~b) + _columns_of(b & ~a) + _columns_of(rest)
+        return _basis_masks(sups, ncols), tuple(order)
     norm, old_of_new = _normalize_columns(sups, ncols)
-    norm_key = (ncols, tuple(sorted(norm)))
-    entry = _NORM_FORM_CACHE.get(norm_key)
-    if entry is None:
-        entry = _min_column_form(norm, ncols)
-        _cache_put(_NORM_FORM_CACHE, norm_key, entry, _RAW_CACHE_LIMIT)
-    masks, order_n = entry
-    result = (masks, tuple(old_of_new[k] for k in order_n))
-    _cache_put(_RAW_FORM_CACHE, raw_key, result, _RAW_CACHE_LIMIT)
-    return result
+    masks, order_n = _min_column_form(norm, ncols)
+    return masks, tuple(old_of_new[k] for k in order_n)
+
+
+def _least_basis(c: Cap) -> _Least:
+    """Least per-basis masks of c, with the subset and supports of the
+    first basis in scan order that reaches them."""
+    if c.size > _SIZE_LIMIT:
+        raise TooLargeError(f"canonical form is limited to {_SIZE_LIMIT} points, got {c.size}")
+    bc = c.dim + 1
+    best: _Least | None = None
+    for subset, sups in _basis_scan(c.sorted_masks(), bc):
+        masks = _basis_masks(sups, bc)
+        if best is None or masks < best[0]:
+            best = (masks, subset, sups)
+    if best is None:
+        raise InvariantError(f"a {c.size}-point cap of dimension {c.dim} has no internal basis")
+    return best
+
+
+def _ordered_basis(c: Cap, least: _Least) -> tuple[int, ...]:
+    """The points of the winning basis of _least_basis in the column order
+    that realises the form."""
+    form, subset, sups = least
+    masks, order = _minimal_form_for_supports(sups, c.dim + 1)
+    if masks != form:
+        raise InvariantError(f"the winning basis orders to {masks}, not to the form {form}")
+    points = c.sorted_masks()
+    return tuple(points[subset[col]] for col in order)
 
 
 def _canonical_scan(c: Cap) -> tuple[CanonicalForm, tuple[int, ...]]:
     """Canonical form plus the ordered basis masks realising it."""
-    if c.size > _SIZE_LIMIT:
-        raise TooLargeError(f"canonical form is limited to {_SIZE_LIMIT} points, got {c.size}")
-    masks = c.sorted_masks()
-    bc = c.dim + 1
-    best_form: tuple[int, ...] | None = None
-    best_basis: tuple[int, ...] | None = None
-    for subset, sups in _basis_scan(masks, bc):
-        form, order = _minimal_form_for_supports(sups, bc)
-        if best_form is None or form < best_form:
-            best_form = form
-            best_basis = tuple(masks[subset[col]] for col in order)
-    if best_form is None or best_basis is None:
-        raise InvariantError(f"a {c.size}-point cap of dimension {c.dim} has no internal basis")
-    return CanonicalForm(c.dim, c.size, best_form), best_basis
+    least = _least_basis(c)
+    return CanonicalForm(c.dim, c.size, least[0]), _ordered_basis(c, least)
 
 
 def canonical_form(c: Cap) -> CanonicalForm:
     """Canonical form of a cap of at most ``_SIZE_LIMIT`` points."""
-    return _canonical_scan(c)[0]
+    return CanonicalForm(c.dim, c.size, _least_basis(c)[0])
 
 
 def are_equivalent(c1: Cap, c2: Cap) -> bool:
@@ -290,11 +300,11 @@ def find_isomorphism(c1: Cap, c2: Cap) -> AffineMap | None:
         raise DimensionMismatchError("caps live in different ambient dimensions")
     if c1.size != c2.size or c1.dim != c2.dim:
         return None
-    form1, basis1 = _canonical_scan(c1)
-    form2, basis2 = _canonical_scan(c2)
-    if form1 != form2:
+    # forms are compared before either winning basis is ordered
+    least1, least2 = _least_basis(c1), _least_basis(c2)
+    if least1[0] != least2[0]:
         return None
-    t = _map_from_bases(basis1, basis2, c1.n)
+    t = _map_from_bases(_ordered_basis(c1, least1), _ordered_basis(c2, least2), c1.n)
     if not verify_map(t, c1, c2):
         raise InvariantError("canonical bases disagree with their common form")
     return t

@@ -7,6 +7,7 @@ from capclass import classifier
 from capclass.capset import is_cap
 from capclass.classifier import (
     ClaimResult,
+    _transvections,
     brute_force_class_counts,
     check_exchange_contract,
     check_higherdim_pair,
@@ -125,6 +126,23 @@ class TestBruteForceOracle:
     def test_guard(self):
         with pytest.raises(TooLargeError):
             brute_force_class_counts(5)
+
+    def test_transvections_generate_the_general_linear_group(self):
+        # a matrix is its tuple of columns, and a transvection acts on each
+        # column; the closure of the identity is all of GL(dim,2)
+        for dim, order in zip((1, 2, 3, 4), (1, 6, 168, 20160)):
+            moves = _transvections(dim)
+            assert len(moves) == dim * (dim - 1)
+            group = {tuple(1 << j for j in range(dim))}
+            frontier = list(group)
+            while frontier:
+                cols = frontier.pop()
+                for bit, e in moves:
+                    image = tuple(x ^ e if x & bit else x for x in cols)
+                    if image not in group:
+                        group.add(image)
+                        frontier.append(image)
+            assert len(group) == order, dim
 
 
 class TestMaxCapSize:

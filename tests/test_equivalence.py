@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from capclass import equivalence
 from capclass.capset import Cap
 from capclass.equivalence import (
+    _basis_masks,
     _canonical_scan,
     _map_from_bases,
     _min_column_form,
@@ -343,6 +344,28 @@ class TestFormKernelsMatchReference:
         for sups, ncols in inputs():
             assert _min_column_form(sups, ncols) == min_column_form_oracle(sups, ncols), (sups, ncols)
 
+    @pytest.mark.parametrize(
+        "inputs", (seeded_kernel_inputs, classified_basis_rows, tie_heavy_inputs, dim8_normalized_basis_rows)
+    )
+    def test_basis_masks(self, inputs, monkeypatch):
+        # cold caches, then label-free hits alone, then raw hits
+        for name in ("_RAW_FORM_CACHE", "_NORM_FORM_CACHE"):
+            monkeypatch.setattr(equivalence, name, {})
+        # the least masks ignore column labels, so the reference runs on the
+        # normalised supports, where it is fast, once per normalised key
+        want_of: dict = {}
+        cases = []
+        for sups, ncols in inputs():
+            key = (tuple(sorted(normalize_columns_oracle(sups, ncols)[0])), ncols)
+            if key not in want_of:
+                want_of[key] = min_column_form_oracle(*key)[0]
+            cases.append(((sups, ncols), want_of[key]))
+        for clear_raw in (False, True, False):
+            if clear_raw:
+                equivalence._RAW_FORM_CACHE.clear()
+            for row, want in cases:
+                assert _basis_masks(*row) == want, row
+
     def test_cell_with_two_signatures_raises(self, monkeypatch):
         # a membership table that disagrees with the supports leaves two
         # signatures in one final cell; the check must survive python -O
@@ -351,9 +374,36 @@ class TestFormKernelsMatchReference:
             _min_column_form((0b11,), 2)
 
 
+class TestOnlyTheWinnerIsOrdered:
+    def test_canonical_form_never_normalises(self, monkeypatch):
+        cap = image_cap(instantiate("T12_5555_233333"), 5)
+        want = canonical_form(cap)
+
+        def refuse(sups, ncols):
+            raise AssertionError("canonical_form normalised a basis")
+
+        monkeypatch.setattr(equivalence, "_normalize_columns", refuse)
+        for name in ("_RAW_FORM_CACHE", "_NORM_FORM_CACHE"):
+            monkeypatch.setattr(equivalence, name, {})
+        assert canonical_form(cap) == want
+
+    def test_winner_disagreeing_with_the_form_raises(self, monkeypatch):
+        # the check is a typed error, so it survives python -O
+        ordered = equivalence._minimal_form_for_supports
+
+        def off_by_one(sups, ncols):
+            masks, order = ordered(sups, ncols)
+            return masks[:-1] + (masks[-1] + 1,), order
+
+        monkeypatch.setattr(equivalence, "_minimal_form_for_supports", off_by_one)
+        cap = instantiate("T11_555_332")
+        with pytest.raises(InvariantError, match="winning basis"):
+            find_isomorphism(cap, image_cap(cap, 3))
+
+
 def test_form_caches_stay_bounded(monkeypatch):
     caps = [image_cap(instantiate(label), seed) for label in ("T11_555_332", "T11_755_443") for seed in (1, 2)]
-    caches = ("_RAW_FORM_CACHE", "_NORM_FORM_CACHE", "_COLOR_CACHE")
+    caches = ("_RAW_FORM_CACHE", "_NORM_FORM_CACHE")
     for name in caches:
         monkeypatch.setattr(equivalence, name, {})
     expected = [_canonical_scan(cap) for cap in caps]
