@@ -26,8 +26,11 @@ def main() -> None:
     elapsed = time.perf_counter() - started
 
     lo, hi = tait_won_bounds(dim)
+    top = table.max_size()
+    # a non-empty row at max_size means generation was cut before caps ran out
+    observed = f"max >= {top} (cut at size {max_size})" if top == max_size else f"observed max {top}"
     print(f"caps of dimension {dim}, classified in {elapsed:.2f}s")
-    print(f"size bounds: {lo:.3f} <= max <= {hi:.3f}; observed max {table.max_size()}")
+    print(f"size bounds: {lo:.3f} <= max <= {hi:.3f}; {observed}")
     print()
     for size in sorted(table.rows):
         entries = table.entries(size)

@@ -128,8 +128,12 @@ def classify(dim: int, max_size: int) -> ClassTable:
 
 
 def max_cap_size(dim: int) -> int:
-    """Largest size with a non-empty classification row (desk-scale, dim <= 8)."""
-    return classify(dim, _SIZE_LIMIT).max_size()
+    """Largest size of a cap in AG(dim,2) (desk-scale, dim <= 8); TooLargeError
+    when caps reach ``_SIZE_LIMIT`` points, where the classification is cut."""
+    table = classify(dim, _SIZE_LIMIT)
+    if table.entries(_SIZE_LIMIT):
+        raise TooLargeError(f"caps of AG({dim},2) reach the size limit {_SIZE_LIMIT}; the maximum is at least that")
+    return table.max_size()
 
 
 def tait_won_bounds(n: int) -> tuple[float, float]:

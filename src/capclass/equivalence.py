@@ -17,9 +17,8 @@ supports, and on a label-free key, the sorted signatures of the columns
 (the set of supports that hold each column); the refinement runs once
 per label-free key.  As canonical labelling separates comparing
 certificates from building the labelling, only the winning basis is
-ordered: its columns are relabeled by refined incidence colors, the
-refinement runs once more, and ties between minimising orders go to the
-lexicographically least order.
+ordered: the refinement runs once more on its supports, and ties between
+minimising orders go to the lexicographically least order.
 """
 
 from __future__ import annotations
@@ -86,6 +85,11 @@ def _min_column_form(
     branch's first unfinished row, whose (leftover, partial) is least
     among all unfinished rows, so the classes that continue an optimal
     order tie on the first key and the lowest column decides.
+
+    Any two optimal orders differ by an automorphism of the supports (a
+    row permutation and a column permutation that preserve incidence),
+    so they list columns of the same refined incidence colour position by
+    position, and breaking ties by (colour, column) picks the same order.
     """
     member = _transpose(sups, ncols)
     cols_of: dict[int, int] = {}
@@ -128,60 +132,6 @@ def _min_column_form(
     return tuple(masks), tuple(order + _columns_of(((1 << ncols) - 1) & ~held))
 
 
-def _signature_colors(r: int, sigs: tuple[int, ...]) -> dict[int, int]:
-    """Refined color of each column signature, given every column's signature.
-
-    A column's signature is its membership mask over the r supports.  The
-    colors depend on the signatures only through their multiset, so the
-    refinement runs once per distinct signature, weighted by its count.
-    """
-    counts: dict[int, int] = {}
-    for sig in sigs:
-        counts[sig] = counts.get(sig, 0) + 1
-    rows = [_columns_of(sig) for sig in counts]
-    # each support lists the index of every column's signature, once per column
-    sup_sigs: list[list[int]] = [[] for _ in range(r)]
-    for i, (row, count) in enumerate(zip(rows, counts.values())):
-        for s in row:
-            sup_sigs[s] += [i] * count
-
-    color = [len(row) for row in rows]
-    for _ in range(3):
-        sup_keys = [(len(col_sigs), tuple(sorted(color[i] for i in col_sigs))) for col_sigs in sup_sigs]
-        rank = {key: i for i, key in enumerate(sorted(set(sup_keys)))}
-        sup_color = [rank[key] for key in sup_keys]
-        sig_keys = [tuple(sorted(sup_color[s] for s in row)) for row in rows]
-        rank = {key: i for i, key in enumerate(sorted(set(sig_keys)))}
-        new_color = [rank[key] for key in sig_keys]
-        if new_color == color:
-            break
-        color = new_color
-    return dict(zip(counts, color))
-
-
-def _normalize_columns(
-    sups: tuple[int, ...], ncols: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Relabel columns by refined incidence colors, insensitively to input labels.
-
-    Returns the relabeled support masks and ``old_of_new`` with
-    old_of_new[k] = original index of the column now called k.  Three
-    rounds of refinement alternate between support colors (size plus the
-    sorted colors of its columns) and column colors (the sorted colors of
-    the supports holding it), starting from each column's support count
-    and stopping early once the column colors are stable.  Colors are
-    interned as ranks of their sorted keys, so they do not depend on the
-    incoming labeling; any residual ties fall back to the original index.
-    Any deterministic relabeling is sound here because the minimum taken
-    afterwards ranges over all column orders anyway.
-    """
-    member = _transpose(sups, ncols)
-    colors = _signature_colors(len(sups), member)
-    # a stable sort of the ascending labels breaks color ties by original index
-    old_of_new = tuple(sorted(range(ncols), key=[colors[sig] for sig in member].__getitem__))
-    return _transpose([member[old] for old in old_of_new], len(sups)), old_of_new
-
-
 def _basis_masks(sups: tuple[int, ...], ncols: int) -> tuple[int, ...]:
     """Least sorted support masks of one basis over all column orders.
 
@@ -208,19 +158,17 @@ def _basis_masks(sups: tuple[int, ...], ncols: int) -> tuple[int, ...]:
     return masks
 
 
-def _minimal_form_for_supports(
-    sups: tuple[int, ...], ncols: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The masks of _basis_masks with the column order the tie rule picks
-    after normalisation; uncached, it runs once per ordered basis."""
+def _column_order(sups: tuple[int, ...], ncols: int) -> tuple[int, ...]:
+    """A column order under which one basis's supports pack to its least
+    masks; uncached, it runs once per ordered basis.  Ties go to the
+    lexicographically least order, except for two supports, whose
+    closed-form order lists the intersection, then each support's own
+    columns, then the rest."""
     if len(sups) == 2:
         a, b = sorted(sups, key=lambda sup: (sup.bit_count(), sup))
         rest = ~(a | b) & ((1 << ncols) - 1)
-        order = _columns_of(a & b) + _columns_of(a & ~b) + _columns_of(b & ~a) + _columns_of(rest)
-        return _basis_masks(sups, ncols), tuple(order)
-    norm, old_of_new = _normalize_columns(sups, ncols)
-    masks, order_n = _min_column_form(norm, ncols)
-    return masks, tuple(old_of_new[k] for k in order_n)
+        return tuple(_columns_of(a & b) + _columns_of(a & ~b) + _columns_of(b & ~a) + _columns_of(rest))
+    return _min_column_form(sups, ncols)[1]
 
 
 def _least_basis(c: Cap) -> _Least:
@@ -243,17 +191,12 @@ def _ordered_basis(c: Cap, least: _Least) -> tuple[int, ...]:
     """The points of the winning basis of _least_basis in the column order
     that realises the form."""
     form, subset, sups = least
-    masks, order = _minimal_form_for_supports(sups, c.dim + 1)
-    if masks != form:
-        raise InvariantError(f"the winning basis orders to {masks}, not to the form {form}")
+    order = _column_order(sups, c.dim + 1)
+    packed = tuple(sorted(sum(1 << i for i, col in enumerate(order) if sup >> col & 1) for sup in sups))
+    if packed != form:
+        raise InvariantError(f"the winning basis orders to {packed}, not to the form {form}")
     points = c.sorted_masks()
     return tuple(points[subset[col]] for col in order)
-
-
-def _canonical_scan(c: Cap) -> tuple[CanonicalForm, tuple[int, ...]]:
-    """Canonical form plus the ordered basis masks realising it."""
-    least = _least_basis(c)
-    return CanonicalForm(c.dim, c.size, least[0]), _ordered_basis(c, least)
 
 
 def canonical_form(c: Cap) -> CanonicalForm:

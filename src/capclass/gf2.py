@@ -161,11 +161,6 @@ class XorBasis:
             mk ^= entry[1]
         return mk
 
-    def copy(self) -> XorBasis:
-        dup = XorBasis.__new__(XorBasis)
-        dup.table = dict(self.table)
-        return dup
-
 
 @dataclass(frozen=True)
 class AffineMap:

@@ -158,6 +158,15 @@ class TestMaxCapSize:
         with pytest.raises(DimensionOverflowError):
             max_cap_size(9)
 
+    def test_a_cut_classification_gives_no_maximum(self, monkeypatch):
+        # the largest caps of AG(4,2) have 6 points: a table cut at 6 only
+        # bounds the maximum below, one cut at 7 reaches an empty row
+        monkeypatch.setattr(classifier, "_SIZE_LIMIT", 6)
+        with pytest.raises(TooLargeError, match="at least"):
+            max_cap_size(4)
+        monkeypatch.setattr(classifier, "_SIZE_LIMIT", 7)
+        assert max_cap_size(4) == 6
+
 
 class TestTaitWonBounds:
     def test_dimension_seven_is_exact(self):

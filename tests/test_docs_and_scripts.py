@@ -23,6 +23,18 @@ def test_run_classification_script_outside_the_repo_root(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert "counts: {4: 1, 5: 0}" in done.stdout.splitlines()
+    assert "observed max 4" in done.stdout
+
+
+def test_run_classification_script_bounds_a_cut_table_below():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_classification.py"), "3", "4"],
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "max >= 4 (cut at size 4)" in done.stdout
+    assert "observed max" not in done.stdout
 
 
 def test_readme_library_tour_prints_what_its_comments_say():

@@ -10,11 +10,11 @@ from capclass import equivalence
 from capclass.capset import Cap
 from capclass.equivalence import (
     _basis_masks,
-    _canonical_scan,
+    _column_order,
+    _least_basis,
     _map_from_bases,
     _min_column_form,
-    _minimal_form_for_supports,
-    _normalize_columns,
+    _ordered_basis,
     are_equivalent,
     canonical_form,
     find_isomorphism,
@@ -145,8 +145,8 @@ def test_maps_between_caps_short_of_their_space_match_reference(seed):
     for cap in caps_short_of_their_space():
         image = image_cap(cap, seed)
         assert cap.dim < cap.n
-        _, basis1 = _canonical_scan(cap)
-        _, basis2 = _canonical_scan(image)
+        basis1 = _ordered_basis(cap, _least_basis(cap))
+        basis2 = _ordered_basis(image, _least_basis(image))
         got, want = _map_from_bases(basis1, basis2, cap.n), map_from_bases_oracle(basis1, basis2, cap.n)
         assert (got.rows, got.translation) == (want.rows, want.translation)
         assert verify_map(got, cap, image)
@@ -220,8 +220,13 @@ def brute_force_min_form(sups, ncols):
     return min(tuple(sorted(relabel(s, order) for s in sups)) for order in permutations(range(ncols)))
 
 
+def ordered_form(sups, ncols):
+    """The least masks of one basis with the order the winning basis takes."""
+    return _basis_masks(sups, ncols), _column_order(sups, ncols)
+
+
 class TestMinimalFormAgainstAllColumnOrders:
-    @pytest.mark.parametrize("form_of", (_min_column_form, _minimal_form_for_supports))
+    @pytest.mark.parametrize("form_of", (_min_column_form, ordered_form))
     def test_seeded_random_supports(self, form_of):
         rng = random.Random(2024)
         for _ in range(300):
@@ -239,7 +244,7 @@ class TestMinimalFormAgainstAllColumnOrders:
                 cols = [c for c in range(ncols) if sup >> c & 1]
                 rest = [c for c in range(ncols) if not sup >> c & 1]
                 want = (((1 << len(cols)) - 1,), tuple(cols + rest))
-                assert _minimal_form_for_supports((sup,), ncols) == want, (sup, ncols)
+                assert ordered_form((sup,), ncols) == want, (sup, ncols)
 
 
 def supports_from_signatures(sigs, r):
@@ -332,10 +337,23 @@ class TestFormKernelsMatchReference:
         assert {len(sups) for sups, _ in cases} == set(range(1, 7))
         assert {ncols for _, ncols in cases} == set(range(1, 12))
 
-    @pytest.mark.parametrize("inputs", (seeded_kernel_inputs, classified_basis_rows))
-    def test_normalize_columns(self, inputs):
+    @pytest.mark.parametrize(
+        "inputs", (seeded_kernel_inputs, classified_basis_rows, tie_heavy_inputs, dim8_normalized_basis_rows)
+    )
+    def test_column_order(self, inputs):
+        # the reference rule relabels columns by refined colour, minimises and
+        # maps the order back; every optimal order has the same colour at
+        # each position, so it picks the least order in the input labels.
+        # Two supports take a closed form instead.
+        want_of: dict = {}
         for sups, ncols in inputs():
-            assert _normalize_columns(sups, ncols) == normalize_columns_oracle(sups, ncols), (sups, ncols)
+            if len(sups) == 2:
+                continue
+            norm, old_of_new = normalize_columns_oracle(sups, ncols)
+            if (norm, ncols) not in want_of:
+                want_of[norm, ncols] = min_column_form_oracle(norm, ncols)[1]
+            want = tuple(old_of_new[k] for k in want_of[norm, ncols])
+            assert _column_order(sups, ncols) == want, (sups, ncols)
 
     @pytest.mark.parametrize(
         "inputs", (seeded_kernel_inputs, normalized_basis_rows, tie_heavy_inputs, dim8_normalized_basis_rows)
@@ -380,22 +398,20 @@ class TestOnlyTheWinnerIsOrdered:
         want = canonical_form(cap)
 
         def refuse(sups, ncols):
-            raise AssertionError("canonical_form normalised a basis")
+            raise AssertionError("canonical_form ordered a basis")
 
-        monkeypatch.setattr(equivalence, "_normalize_columns", refuse)
+        monkeypatch.setattr(equivalence, "_column_order", refuse)
         for name in ("_RAW_FORM_CACHE", "_NORM_FORM_CACHE"):
             monkeypatch.setattr(equivalence, name, {})
         assert canonical_form(cap) == want
 
     def test_winner_disagreeing_with_the_form_raises(self, monkeypatch):
-        # the check is a typed error, so it survives python -O
-        ordered = equivalence._minimal_form_for_supports
+        # the supports are packed under the returned order and checked
+        # against the form; a typed error, so it survives python -O
+        def reversed_order(sups, ncols):
+            return tuple(reversed(_column_order(sups, ncols)))
 
-        def off_by_one(sups, ncols):
-            masks, order = ordered(sups, ncols)
-            return masks[:-1] + (masks[-1] + 1,), order
-
-        monkeypatch.setattr(equivalence, "_minimal_form_for_supports", off_by_one)
+        monkeypatch.setattr(equivalence, "_column_order", reversed_order)
         cap = instantiate("T11_555_332")
         with pytest.raises(InvariantError, match="winning basis"):
             find_isomorphism(cap, image_cap(cap, 3))
@@ -406,13 +422,13 @@ def test_form_caches_stay_bounded(monkeypatch):
     caches = ("_RAW_FORM_CACHE", "_NORM_FORM_CACHE")
     for name in caches:
         monkeypatch.setattr(equivalence, name, {})
-    expected = [_canonical_scan(cap) for cap in caps]
+    expected = [_ordered_basis(cap, _least_basis(cap)) for cap in caps]
     limit = 3
     assert all(len(getattr(equivalence, name)) > limit for name in caches)
     monkeypatch.setattr(equivalence, "_RAW_CACHE_LIMIT", limit)
     for name in caches:
         monkeypatch.setattr(equivalence, name, {})
     for cap, want in zip(caps, expected):
-        assert _canonical_scan(cap) == want
+        assert _ordered_basis(cap, _least_basis(cap)) == want
         for name in caches:
             assert len(getattr(equivalence, name)) <= limit, name
