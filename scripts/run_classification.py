@@ -5,6 +5,9 @@ Usage: python scripts/run_classification.py [DIM] [MAX_SIZE]
 
 Defaults reproduce the dimension-7 catalogue: one class of 8-caps,
 two of 9-caps, two of 10-caps, one each of 11- and 12-caps, no 13-caps.
+DIM and MAX_SIZE are checked as ``capclass classify`` checks them, and
+the script exits with its codes: 2 for a bad argument, 141 when the
+reader closes stdout early.
 """
 
 import sys
@@ -14,13 +17,13 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from capclass.classifier import _census_payload, classify, tait_won_bounds
+from capclass.cli import parse_args, run_command
 from capclass.gf2 import Point
 
+DEFAULTS = ["7", "13"]
 
-def main() -> None:
-    dim = int(sys.argv[1]) if len(sys.argv) > 1 else 7
-    max_size = int(sys.argv[2]) if len(sys.argv) > 2 else 13
 
+def print_table(dim: int, max_size: int) -> int:
     started = time.perf_counter()
     table = classify(dim, max_size)
     elapsed = time.perf_counter() - started
@@ -44,7 +47,16 @@ def main() -> None:
             print(f"    basis types: {', '.join(census)}")
     print()
     print("counts:", table.counts())
+    return 0
+
+
+def main(argv: list[str]) -> int:
+    args = parse_args(["classify", *argv, *DEFAULTS[len(argv):]])
+    if args.out is not None:
+        print("error: run_classification.py writes no cap files; use capclass classify --out", file=sys.stderr)
+        return 2
+    return run_command(lambda: print_table(args.dim, args.max_size))
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main(sys.argv[1:]))

@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 from .capset import Cap, find_quad, is_complete, quad_closure_1
@@ -130,14 +131,12 @@ def _cmd_template(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    points = _read_points(args.file)
-    print(json.dumps(_check_payload(points), indent=2, sort_keys=True))
+    print(json.dumps(_check_payload(_read_points(args.file)), indent=2, sort_keys=True))
     return 0
 
 
 def _cmd_closure(args: argparse.Namespace) -> int:
-    points = _read_points(args.file)
-    sys.stdout.write(render_capfile(quad_closure_1(points)))
+    sys.stdout.write(render_capfile(quad_closure_1(_read_points(args.file))))
     return 0
 
 
@@ -240,22 +239,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """The parsed command line; a usage error exits 2 with one ``error:`` line."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "classify" and args.max_size <= args.dim:
         parser.error(f"classify: max_size must exceed dim, got {args.max_size} <= {args.dim}")
+    return args
+
+
+def run_command(command: Callable[[], int]) -> int:
+    """Run a command; a closed stdout and the package's errors become exit codes."""
     try:
-        code = args.func(args)
+        code = command()
         sys.stdout.flush()
         return code
     except BrokenPipeError:
         # the reader left: flush the rest into devnull, not the closed pipe, at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except CapFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (UnknownLabelError, TooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -265,6 +267,11 @@ def main(argv: list[str] | None = None) -> int:
     except CapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = parse_args(argv)
+    return run_command(lambda: args.func(args))
 
 
 if __name__ == "__main__":

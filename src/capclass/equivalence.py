@@ -135,16 +135,9 @@ def _min_column_form(
 def _basis_masks(sups: tuple[int, ...], ncols: int) -> tuple[int, ...]:
     """Least sorted support masks of one basis over all column orders.
 
-    Memoised on the raw supports, then on the label-free key: supports
-    with the same multiset of column signatures differ only by a column
-    permutation, and the minimum ranges over every column order.
-    """
-    # two supports have a closed-form minimum: pack the smaller support
-    # into the low positions, its intersection with the other lowest of all
-    if len(sups) == 2:
-        a, b = sorted(sups, key=lambda sup: (sup.bit_count(), sup))
-        sa, si = a.bit_count(), (a & b).bit_count()
-        return tuple(sorted(((1 << sa) - 1, (1 << si) - 1 | ((1 << b.bit_count() - si) - 1) << sa)))
+    Every basis takes the same path: the raw memo, the label-free memo
+    (supports with the same multiset of column signatures differ only by a
+    column permutation), then _min_column_form on the supports as given."""
     raw_key = (ncols, tuple(sorted(sups)))
     masks = _RAW_FORM_CACHE.get(raw_key)
     if masks is None:
@@ -152,7 +145,7 @@ def _basis_masks(sups: tuple[int, ...], ncols: int) -> tuple[int, ...]:
         norm_key = (len(sups), tuple(sorted(_transpose(sups, ncols))))
         masks = _NORM_FORM_CACHE.get(norm_key)
         if masks is None:
-            masks = _min_column_form(_transpose(norm_key[1], len(sups)), ncols)[0]
+            masks = _min_column_form(sups, ncols)[0]
             _cache_put(_NORM_FORM_CACHE, norm_key, masks, _RAW_CACHE_LIMIT)
         _cache_put(_RAW_FORM_CACHE, raw_key, masks, _RAW_CACHE_LIMIT)
     return masks
@@ -161,9 +154,9 @@ def _basis_masks(sups: tuple[int, ...], ncols: int) -> tuple[int, ...]:
 def _column_order(sups: tuple[int, ...], ncols: int) -> tuple[int, ...]:
     """A column order under which one basis's supports pack to its least
     masks; uncached, it runs once per ordered basis.  Ties go to the
-    lexicographically least order, except for two supports, whose
-    closed-form order lists the intersection, then each support's own
-    columns, then the rest."""
+    lexicographically least order, except for two supports, whose closed
+    form lists the intersection, then each support's own columns, then the
+    rest; _ordered_basis checks it against the kernel's masks."""
     if len(sups) == 2:
         a, b = sorted(sups, key=lambda sup: (sup.bit_count(), sup))
         rest = ~(a | b) & ((1 << ncols) - 1)

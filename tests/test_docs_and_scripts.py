@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -35,6 +37,41 @@ def test_run_classification_script_bounds_a_cut_table_below():
     assert done.returncode == 0, done.stderr
     assert "max >= 4 (cut at size 4)" in done.stdout
     assert "observed max" not in done.stdout
+
+
+def test_run_classification_script_exits_141_when_its_reader_has_left():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the script writes
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, str(ROOT / "scripts" / "run_classification.py"), "3", "4"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141
+    assert b"Traceback" not in err
+    assert b"Exception ignored" not in err
+
+
+BAD_SCRIPT_ARGUMENTS = (
+    ["9", "13"], ["0", "4"], ["3", "15"], ["3", "3"], ["x", "4"], ["3", "4.5"], ["3", "4", "5"], ["3", "4", "--out", "d"]
+)
+
+
+@pytest.mark.parametrize("argv", BAD_SCRIPT_ARGUMENTS)
+def test_run_classification_script_rejects_a_bad_argument_with_exit_2(argv):
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_classification.py"), *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert len([line for line in done.stderr.splitlines() if "error:" in line]) == 1
 
 
 def test_readme_library_tour_prints_what_its_comments_say():

@@ -366,7 +366,8 @@ class TestFormKernelsMatchReference:
         "inputs", (seeded_kernel_inputs, classified_basis_rows, tie_heavy_inputs, dim8_normalized_basis_rows)
     )
     def test_basis_masks(self, inputs, monkeypatch):
-        # cold caches, then label-free hits alone, then raw hits
+        # cold caches, then label-free hits alone, then raw hits; rows with
+        # two supports go through the same memoised kernel as the rest
         for name in ("_RAW_FORM_CACHE", "_NORM_FORM_CACHE"):
             monkeypatch.setattr(equivalence, name, {})
         # the least masks ignore column labels, so the reference runs on the
@@ -383,6 +384,13 @@ class TestFormKernelsMatchReference:
                 equivalence._RAW_FORM_CACHE.clear()
             for row, want in cases:
                 assert _basis_masks(*row) == want, row
+
+    def test_two_supports_are_memoised_like_the_rest(self, monkeypatch):
+        for name in ("_RAW_FORM_CACHE", "_NORM_FORM_CACHE"):
+            monkeypatch.setattr(equivalence, name, {})
+        assert _basis_masks((0b0111, 0b1100), 5) == (0b0011, 0b1101)
+        assert len(equivalence._RAW_FORM_CACHE) == 1
+        assert len(equivalence._NORM_FORM_CACHE) == 1
 
     def test_cell_with_two_signatures_raises(self, monkeypatch):
         # a membership table that disagrees with the supports leaves two
@@ -412,9 +420,11 @@ class TestOnlyTheWinnerIsOrdered:
             return tuple(reversed(_column_order(sups, ncols)))
 
         monkeypatch.setattr(equivalence, "_column_order", reversed_order)
-        cap = instantiate("T11_555_332")
-        with pytest.raises(InvariantError, match="winning basis"):
-            find_isomorphism(cap, image_cap(cap, 3))
+        # three dependents take the least order, two the closed form
+        for label in ("T11_555_332", "T10_55_3"):
+            cap = instantiate(label)
+            with pytest.raises(InvariantError, match="winning basis"):
+                find_isomorphism(cap, image_cap(cap, 3))
 
 
 def test_form_caches_stay_bounded(monkeypatch):
