@@ -23,7 +23,7 @@ from .capset import Cap, extension_candidates, is_cap, is_complete, quad_closure
 from .decomp import (
     _DESK_LIMIT,
     ExtendedType,
-    _basis_scan,
+    _every_basis,
     _raw_type,
     decompose,
     exchange_basis,
@@ -430,7 +430,7 @@ def check_exchange_contract(table7: ClassTable, trials: int = DEFAULT_EXCHANGE_T
             cap, masks = entry.cap, entry.cap.sorted_masks()
             points = tuple(Point(m, cap.n) for m in masks)
             moves = []
-            for subset, _ in _basis_scan(masks, cap.dim + 1):
+            for subset, _ in _every_basis(masks, cap.dim + 1):
                 dec = decompose(cap, [points[i] for i in subset])
                 sups = dec.support_masks()
                 # a basis point may go to a dependent holding it when at most
@@ -482,7 +482,7 @@ def _lemma_violations(cap: Cap) -> list[str]:
     """All per-basis structural laws for one cap; empty list means clean."""
     masks = cap.sorted_masks()
     out = []
-    for subset, sups in _basis_scan(masks, cap.dim + 1):
+    for subset, sups in _every_basis(masks, cap.dim + 1):
         sizes, pairs = _raw_type(sups)
         r = len(sups)
         inter = dict(zip(combinations(range(r), 2), pairs))

@@ -5,6 +5,14 @@ set D = S \\ B.  Each dependent point is the XOR of a unique odd subset
 of B, encoded here as a bitmask over basis positions (bit i = basis[i]).
 The multiset of support sizes together with all pairwise intersection
 sizes is the basis's extended type.
+
+The bases inside a point set are enumerated through their complements,
+which are the bases of the dual matroid.  Points with equal dual
+columns are in series, and bases that leave out the same set of
+dual-column values share their supports up to a permutation of rows
+and columns.  So the cached scan that canonical forms and the type
+census read keeps one basis per such class; the laws stated of every
+basis read the full enumeration.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from .gf2 import (
     PointSet,
     _affine_elimination,
     _solve_support,
+    _transpose,
     extract_basis,
 )
 
@@ -240,6 +249,7 @@ def _scan_from(
     depth: int,
     start: int,
     k: int,
+    allowed: int,
     basis: list[int],
     out: list[tuple[tuple[int, ...], tuple[int, ...]]],
 ) -> None:
@@ -249,13 +259,17 @@ def _scan_from(
     been chosen, pivoted on and deleted: rows[t] for t < depth belongs to
     the t-th chosen point, ``basis`` lists the k-point set's indices below
     ``start`` outside the complement (bit i = basis[i]), and index c >=
-    start sits at bit c - depth.  Once all r points are chosen, rows[t]
-    is the support of the t-th one over the basis positions.
+    start sits at bit c - depth.  Only indices set in ``allowed`` join the
+    complement.  Once all r points are chosen, rows[t] is the support of
+    the t-th one over the basis positions.
     """
     r = len(rows)
     last = depth == r - 1
     mark = len(basis)
     for c in range(start, k - r + depth + 1):
+        if not allowed >> c & 1:
+            basis.append(c)
+            continue
         bit = 1 << (c - depth)
         for piv in range(depth, r):
             if rows[piv] & bit:
@@ -275,14 +289,14 @@ def _scan_from(
         if last:
             out.append((tuple(basis) + tuple(range(c + 1, k)), tuple(reduced)))
         else:
-            _scan_from(reduced, depth + 1, c + 1, k, basis, out)
+            _scan_from(reduced, depth + 1, c + 1, k, allowed, basis, out)
         basis.append(c)
     del basis[mark:]
 
 
-@lru_cache(maxsize=64)
-def _basis_scan(masks: tuple[int, ...], bc: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """(subset indices, dependent supports) for every basis subset, cached per point set.
+def _scan(masks: tuple[int, ...], bc: int, one_per_class: bool) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(subset indices, dependent supports) for the basis subsets, in
+    ascending index order of the subsets.
 
     A bc-subset is a basis exactly when its complement is a basis of the
     dual matroid, whose rows are the dependents' supports over the greedy
@@ -291,9 +305,10 @@ def _basis_scan(masks: tuple[int, ...], bc: int) -> tuple[tuple[tuple[int, ...],
     first point, marked by point index.  The scan chooses complements in
     ascending index order and Gauss-Jordan-eliminates the rows on each
     chosen column; at a complete complement the rows are the supports
-    over the remaining points.  Results come in ascending index order of
-    the subsets, with bit i = subset position i and dependents in
-    ascending mask order (masks is expected sorted).
+    over the remaining points, with bit i = subset position i and
+    dependents in ascending mask order (masks is expected sorted).  With
+    ``one_per_class`` only the last index of each nonzero dual column may
+    leave the basis (see _basis_scan).
     """
     k = len(masks)
     if bc > k:
@@ -309,15 +324,54 @@ def _basis_scan(masks: tuple[int, ...], bc: int) -> tuple[tuple[tuple[int, ...],
         raise InvariantError(f"{bc} points cannot span a set of affine rank {rank - 1}")
     if not rows:
         return ((tuple(range(k)), ()),)
+    allowed = -1
+    if one_per_class:
+        last = {value: c for c, value in enumerate(_transpose(rows, k)) if value}
+        allowed = sum(1 << c for c in last.values())
     out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    _scan_from(rows, 0, 0, k, [], out)
+    _scan_from(rows, 0, 0, k, allowed, [], out)
     # complements in ascending order are bases in descending order
     out.reverse()
     return tuple(out)
 
 
+@lru_cache(maxsize=64)
+def _basis_scan(masks: tuple[int, ...], bc: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(subset indices, dependent supports) for one basis per dual-column
+    class, cached per point set.
+
+    Point c's dual column is bit c of the r dual rows.  Points with equal
+    nonzero dual columns are in series (parallel in the dual matroid;
+    Oxley, *Matroid Theory*, 2.1), so a complement holds at most one of
+    them.  Two complements holding the same set of dual-column values
+    have the same r x r column block up to a column permutation, so
+    eliminating on either leaves supports that differ only by a
+    permutation of rows and of columns: the same least masks and the same
+    ExtendedType.  Such complements form one class.  The scan lets only
+    the last index of each value leave the basis.  That complement is the
+    lexicographically greatest of its class, and complements come out in
+    descending order, so each kept basis is the first of its class in
+    _every_basis's order, and the result is the subsequence of
+    _every_basis made of those bases, with the same (subset, supports).
+    A caller that keeps the first basis reaching a minimum over classes
+    therefore keeps the same basis as over every basis.
+    """
+    return _scan(masks, bc, True)
+
+
+def _every_basis(masks: tuple[int, ...], bc: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(subset indices, dependent supports) for every basis subset,
+    uncached: for the checks that state a law of each basis."""
+    return _scan(masks, bc, False)
+
+
 def type_census(c: Cap) -> frozenset[ExtendedType]:
-    """Extended types over every basis contained in the cap."""
+    """Extended types of the bases contained in the cap.
+
+    One basis per dual-column class is read (_basis_scan): the bases of a
+    class share their supports up to a permutation of rows and columns,
+    so they share one ExtendedType, and the set equals the set over every
+    basis."""
     if c.size > _DESK_LIMIT:
         raise TooLargeError(f"type census is limited to {_DESK_LIMIT} points, got {c.size}")
     raw = {_raw_type(sups) for _, sups in _basis_scan(c.sorted_masks(), c.dim + 1)}

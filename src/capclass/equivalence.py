@@ -7,7 +7,11 @@ cap-internal bases and preserve supports, so equal forms characterise
 affine equivalence (two caps whose dependents fit a common template
 are equivalent, and the form is the minimal such template).
 
-The minimisation runs in two levels: enumerate basis subsets, then
+The minimisation runs in two levels: enumerate basis subsets, one per
+class of bases whose supports agree up to a permutation of rows and
+columns (decomp._basis_scan; such bases share their least masks, and
+the scan keeps the first basis of each class, so the first basis
+reaching the form is the same as over every basis), then
 find the least sorted support masks of each subset over all column
 orders by refining an ordered partition of the columns one support at a
 time, in the manner of canonical labelling (McKay & Piperno 2014), over

@@ -18,6 +18,7 @@ from capclass.decomp import (
     ExtendedType,
     _basis_scan,
     _canonical_type,
+    _every_basis,
     decompose,
     exchange_basis,
     extended_type,
@@ -41,6 +42,8 @@ from capclass.gf2 import (
     random_invertible_affine,
 )
 from capclass.templates import FRAME_MASKS, LABELS, generating_basis, higherdim_pair, instantiate
+
+from oracles import rank_oracle
 
 FRAME_POINTS = tuple(Point(m, 7) for m in FRAME_MASKS)
 
@@ -312,50 +315,112 @@ def scan_oracle(cap):
     return tuple(out)
 
 
+def last_in_series_oracle(cap):
+    """Indices of the points that no later point is in series with, by
+    rank alone: points i and j that each leave the rank whole when deleted
+    are in series when deleting both lowers it ({i, j} is a cocircuit)."""
+    masks = cap.sorted_masks()
+    rank = rank_oracle(list(masks))
+
+    def without(*drop):
+        return rank_oracle([m for i, m in enumerate(masks) if i not in drop])
+
+    free = [without(j) == rank for j in range(len(masks))]
+    return {
+        i for i in range(len(masks)) if not any(free[j] and without(i, j) < rank for j in range(i + 1, len(masks)))
+    }
+
+
+def class_scan_oracle(cap):
+    """The bases of scan_oracle whose left-out points are each the last of
+    their series class (equal dual columns), in the same order."""
+    last = last_in_series_oracle(cap)
+    return tuple(row for row in scan_oracle(cap) if set(range(cap.size)) - set(row[0]) <= last)
+
+
+def assert_every_basis_matches_brute_force(cap):
+    masks, bc = cap.sorted_masks(), cap.dim + 1
+    assert _every_basis(masks, bc) == scan_oracle(cap)
+
+
+def assert_class_scan_matches_brute_force(cap):
+    masks, bc = cap.sorted_masks(), cap.dim + 1
+    assert _basis_scan(masks, bc) == class_scan_oracle(cap)
+
+
+def template_image(label, seed):
+    # the points come in a different order than the template's
+    return Cap(apply_affine_map(random_invertible_affine(7, seed), instantiate(label).points))
+
+
+def classified_representatives(dim, max_size):
+    table = classify(dim, max_size)
+    return [entry.cap for size in sorted(table.rows) for entry in table.entries(size)]
+
+
 class TestBasisScan:
+    """_every_basis lists every basis, as brute force does; _basis_scan
+    keeps the first basis of each series class, on the same inputs."""
+
     @pytest.mark.parametrize("label", LABELS)
     def test_templates_match_brute_force(self, label):
-        cap = instantiate(label)
-        assert _basis_scan(cap.sorted_masks(), cap.dim + 1) == scan_oracle(cap)
+        assert_every_basis_matches_brute_force(instantiate(label))
 
     def test_higherdim_pair_matches_brute_force(self):
         for cap in higherdim_pair():
-            assert _basis_scan(cap.sorted_masks(), cap.dim + 1) == scan_oracle(cap)
+            assert_every_basis_matches_brute_force(cap)
 
     @pytest.mark.parametrize("label", ("T12_7555", "T12_5555_233333", "T12_5555_233332"))
     @pytest.mark.parametrize("seed", (3, 17, 40))
     def test_template_images_match_brute_force(self, label, seed):
-        # four dependents, with the points in a different order than the template's
-        t = random_invertible_affine(7, seed)
-        cap = Cap(apply_affine_map(t, instantiate(label).points))
-        assert _basis_scan(cap.sorted_masks(), cap.dim + 1) == scan_oracle(cap)
+        # four dependents
+        assert_every_basis_matches_brute_force(template_image(label, seed))
 
     @pytest.mark.parametrize("dim, max_size", ((6, 10), (8, 12)))
     def test_classified_representatives_match_brute_force(self, dim, max_size):
-        table = classify(dim, max_size)
-        for size in sorted(table.rows):
-            for entry in table.entries(size):
-                cap = entry.cap
-                assert _basis_scan(cap.sorted_masks(), cap.dim + 1) == scan_oracle(cap)
+        for cap in classified_representatives(dim, max_size):
+            assert_every_basis_matches_brute_force(cap)
+
+    @pytest.mark.parametrize("label", LABELS)
+    def test_templates_keep_the_first_basis_per_class(self, label):
+        assert_class_scan_matches_brute_force(instantiate(label))
+
+    def test_higherdim_pair_keeps_the_first_basis_per_class(self):
+        for cap in higherdim_pair():
+            assert_class_scan_matches_brute_force(cap)
+
+    @pytest.mark.parametrize("label", LABELS)
+    def test_template_images_keep_the_first_basis_per_class(self, label):
+        for seed in (3, 17, 40):
+            assert_class_scan_matches_brute_force(template_image(label, seed))
+
+    @pytest.mark.parametrize("dim, max_size", ((6, 10), (8, 12)))
+    def test_classified_representatives_keep_the_first_basis_per_class(self, dim, max_size):
+        for cap in classified_representatives(dim, max_size):
+            assert_class_scan_matches_brute_force(cap)
 
     def test_frame_is_its_only_basis(self):
         cap = Cap(PointSet(7, FRAME_MASKS))
-        assert _basis_scan(cap.sorted_masks(), 8) == scan_oracle(cap) == ((tuple(range(8)), ()),)
+        for scan in (_basis_scan, _every_basis):
+            assert scan(cap.sorted_masks(), 8) == scan_oracle(cap) == ((tuple(range(8)), ()),)
 
     def test_more_basis_points_than_points_gives_nothing(self):
         masks = instantiate("R5").sorted_masks()
-        assert _basis_scan(masks, len(masks) + 1) == ()
+        for scan in (_basis_scan, _every_basis):
+            assert scan(masks, len(masks) + 1) == ()
 
     def test_more_basis_points_than_the_rank_allows_gives_nothing(self):
         cap = instantiate("T10_55_2")
         masks = cap.sorted_masks()
-        for bc in range(cap.dim + 2, len(masks) + 1):
-            assert _basis_scan(masks, bc) == ()
+        for scan in (_basis_scan, _every_basis):
+            for bc in range(cap.dim + 2, len(masks) + 1):
+                assert scan(masks, bc) == ()
 
     def test_too_few_basis_points_raise(self):
         cap = instantiate("T10_55_2")
-        with pytest.raises(InvariantError):
-            _basis_scan(cap.sorted_masks(), cap.dim)
+        for scan in (_basis_scan, _every_basis):
+            with pytest.raises(InvariantError):
+                scan(cap.sorted_masks(), cap.dim)
 
 
 class TestTypeCensus:

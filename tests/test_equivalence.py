@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capclass import equivalence
-from capclass.capset import Cap
+from capclass.capset import Cap, extension_candidates
 from capclass.equivalence import (
     _basis_masks,
     _column_order,
@@ -23,7 +23,7 @@ from capclass.equivalence import (
 from capclass.errors import DimensionMismatchError, InvariantError, TooLargeError
 from capclass.gf2 import AffineMap, Point, PointSet, apply_affine_map, random_invertible_affine
 from capclass.classifier import classify
-from capclass.decomp import _basis_scan
+from capclass.decomp import ExtendedType, _every_basis, type_census
 from capclass.templates import LABELS, higherdim_pair, instantiate
 
 from oracles import (
@@ -300,7 +300,7 @@ def dim8_normalized_basis_rows():
     """The basis rows of the classify(8, 13) representatives (ncols = 9),
     relabeled, one per normalized key."""
     frame = (0,) + tuple(1 << i for i in range(8))
-    rows = {(sups, 9) for extra in CLASSIFY_8_13_EXTRAS for _, sups in _basis_scan(tuple(sorted(frame + extra)), 9)}
+    rows = {(sups, 9) for extra in CLASSIFY_8_13_EXTRAS for _, sups in _every_basis(tuple(sorted(frame + extra)), 9)}
     return sorted({(tuple(sorted(normalize_columns_oracle(*row)[0])), row[1]) for row in rows})
 
 
@@ -314,7 +314,7 @@ def classified_basis_rows():
             for entry in table.entries(size):
                 for cap in (entry.cap, image_cap(entry.cap, 1), image_cap(entry.cap, 2)):
                     bc = cap.dim + 1
-                    rows.update((sups, bc) for _, sups in _basis_scan(cap.sorted_masks(), bc))
+                    rows.update((sups, bc) for _, sups in _every_basis(cap.sorted_masks(), bc))
     return sorted(rows)
 
 
@@ -425,6 +425,47 @@ class TestOnlyTheWinnerIsOrdered:
             cap = instantiate(label)
             with pytest.raises(InvariantError, match="winning basis"):
                 find_isomorphism(cap, image_cap(cap, 3))
+
+
+@cache
+def differential_caps():
+    """The distinct caps that classify(6|7|8, 13) passes to canonical_form
+    (each frame, and every extension of a representative below 13 points),
+    and three seeded images of every template and of the higherdim pair."""
+    caps = {}
+    for dim in (6, 7, 8):
+        table = classify(dim, 13)
+        for size in sorted(table.rows):
+            for entry in table.entries(size):
+                caps.setdefault(entry.cap.sorted_masks(), entry.cap)
+                if size < 13:
+                    base = entry.cap.sorted_masks()
+                    for z in extension_candidates(entry.cap).sorted_masks():
+                        cap = Cap(PointSet(dim, base + (z,)))
+                        caps.setdefault(cap.sorted_masks(), cap)
+    templates = [instantiate(label) for label in LABELS] + list(higherdim_pair())
+    return list(caps.values()) + [image_cap(cap, seed) for cap in templates for seed in (1, 2, 3)]
+
+
+class TestOneBasisPerClassMatchesEveryBasis:
+    """_least_basis and type_census read one basis per series class; over
+    every basis the first basis reaching the least masks and the set of
+    extended types are the same."""
+
+    def test_least_basis(self):
+        for cap in differential_caps():
+            bc = cap.dim + 1
+            want = None
+            for subset, sups in _every_basis(cap.sorted_masks(), bc):
+                masks = _basis_masks(sups, bc)
+                if want is None or masks < want[0]:
+                    want = (masks, subset, sups)
+            assert _least_basis(cap) == want
+
+    def test_type_census(self):
+        for cap in differential_caps():
+            every = _every_basis(cap.sorted_masks(), cap.dim + 1)
+            assert type_census(cap) == frozenset(ExtendedType.from_supports(sups) for _, sups in every)
 
 
 def test_form_caches_stay_bounded(monkeypatch):

@@ -17,6 +17,7 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 GOLDEN = {
     ("classify", "7", "13"): "fcc6f3972ff34be76c05157f3057b50550af704e1c82b95d328a3f89b547b874",
+    ("classify", "8", "13"): "87059760b489be185f2d9db4f01a2a57684eb9d1b7de873edf377f624a4bfcb1",
     ("verify-paper", "--json", "--fuzz-trials", "10", "--exchange-trials", "100"):
         "2debcd51095565c152cdd576657a41b64c7b0de7d4ef044d6267b02f20dbf921",
 }
