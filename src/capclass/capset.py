@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import EmptyInputError, MixedDimensionError, NotACapError
@@ -74,6 +75,7 @@ def find_quad(s: PointSet) -> tuple[Point, Point, Point, Point] | None:
     return tuple(Point(m, s.n) for m in hit)
 
 
+@dataclass(frozen=True, init=False, repr=False, slots=True)
 class Cap:
     """A quad-free point set with its affine dimension cached.
 
@@ -81,7 +83,8 @@ class Cap:
     :class:`NotACapError` otherwise.
     """
 
-    __slots__ = ("points", "dim")
+    points: PointSet
+    dim: int = field(compare=False)
 
     def __init__(self, points: PointSet):
         if len(points) == 0:
@@ -91,9 +94,6 @@ class Cap:
             raise NotACapError(f"points {quad} form a quad")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "dim", affine_dim(points))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Cap is immutable")
 
     @property
     def n(self) -> int:
@@ -105,14 +105,6 @@ class Cap:
 
     def sorted_masks(self) -> tuple[int, ...]:
         return self.points.sorted_masks()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Cap):
-            return NotImplemented
-        return self.points == other.points
-
-    def __hash__(self) -> int:
-        return hash(self.points)
 
     def __repr__(self) -> str:
         return f"Cap(n={self.n}, size={self.size}, dim={self.dim})"

@@ -17,12 +17,15 @@ orders by refining an ordered partition of the columns one support at a
 time, in the manner of canonical labelling (McKay & Piperno 2014), over
 the r supports rather than over the columns.  A basis's least masks do
 not depend on its column labels, so they are memoised twice: on the raw
-supports, and on a label-free key, the sorted signatures of the columns
-(the set of supports that hold each column); the refinement runs once
-per label-free key.  As canonical labelling separates comparing
-certificates from building the labelling, only the winning basis is
-ordered: the refinement runs once more on its supports, and ties between
-minimising orders go to the lexicographically least order.
+supports, and on a key free of column labels with the rows in scan
+order, the sorted signatures of the columns (the set of supports that
+hold each column); the refinement runs once per such key.  A key free of
+row labels too would be the least masks themselves.  As canonical
+labelling separates comparing certificates from building the labelling,
+only the winning basis is ordered: the refinement runs once more on its
+supports and returns the lexicographically least optimal order in the
+basis's own column labels, and a basis with two supports takes a closed
+form instead.
 """
 
 from __future__ import annotations
@@ -38,9 +41,10 @@ _SIZE_LIMIT = 14
 
 # Two memo levels of per-basis least masks.  Affine images of one cap
 # present the same supports under permuted column labels, so raw keys
-# (exact supports) recur within a run, while the label-free key (support
-# count and sorted column signatures) collapses every relabeling of one
-# structure.  Both are cleared whenever they reach _RAW_CACHE_LIMIT.
+# (exact supports) recur within a run, while the norm key (support count
+# and sorted column signatures, free of column labels with the rows in
+# scan order) collapses every column relabeling of one structure.  Both
+# are cleared whenever they reach _RAW_CACHE_LIMIT.
 _RAW_FORM_CACHE: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
 _NORM_FORM_CACHE: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
 _RAW_CACHE_LIMIT = 400_000
@@ -82,18 +86,9 @@ def _min_column_form(
     Every optimal order lists the classes in the cell order of some
     branch, each class's columns in any order, with the columns carried
     by no support last.  The tie rule returns the lexicographically least
-    of them.  That is the order of the first optimal leaf of a
-    column-by-column search that ranks the classes at each position by
-    the least (leftover count, partial mask) of their rows, then by
-    lowest free column: the next class of an optimal branch holds the
-    branch's first unfinished row, whose (leftover, partial) is least
-    among all unfinished rows, so the classes that continue an optimal
-    order tie on the first key and the lowest column decides.
-
-    Any two optimal orders differ by an automorphism of the supports (a
-    row permutation and a column permutation that preserve incidence),
-    so they list columns of the same refined incidence colour position by
-    position, and breaking ties by (colour, column) picks the same order.
+    of them in the basis's own column labels: over the final branches,
+    the least list of each cell's columns in ascending order, then the
+    uncarried columns ascending.
     """
     member = _transpose(sups, ncols)
     cols_of: dict[int, int] = {}
@@ -139,9 +134,12 @@ def _min_column_form(
 def _basis_masks(sups: tuple[int, ...], ncols: int) -> tuple[int, ...]:
     """Least sorted support masks of one basis over all column orders.
 
-    Every basis takes the same path: the raw memo, the label-free memo
+    Every basis takes the same path: the raw memo, the norm memo
     (supports with the same multiset of column signatures differ only by a
-    column permutation), then _min_column_form on the supports as given."""
+    column permutation), then _min_column_form on the supports as given.
+    The signatures name supports by their scan position, so the norm key
+    is free of column labels but not of row order: a key free of both
+    would be the least masks themselves."""
     raw_key = (ncols, tuple(sorted(sups)))
     masks = _RAW_FORM_CACHE.get(raw_key)
     if masks is None:

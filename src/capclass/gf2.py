@@ -10,7 +10,7 @@ translating by a fixed base point.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -60,6 +60,7 @@ class Point:
         return f"Point({self.to_bits()})"
 
 
+@dataclass(frozen=True, init=False, repr=False, slots=True)
 class PointSet:
     """An immutable, duplicate-free set of points sharing one ambient dimension.
 
@@ -67,7 +68,9 @@ class PointSet:
     every downstream computation is deterministic.
     """
 
-    __slots__ = ("n", "masks", "_sorted")
+    n: int
+    masks: frozenset[int]
+    _sorted: tuple[int, ...] = field(compare=False)
 
     def __init__(self, n: int, masks: Iterable[int] = ()):
         if not 1 <= n <= MAX_DIM:
@@ -78,9 +81,6 @@ class PointSet:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "masks", frozenset(srt))
         object.__setattr__(self, "_sorted", srt)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("PointSet is immutable")
 
     @classmethod
     def from_points(cls, points: Iterable[Point]) -> PointSet:
@@ -109,14 +109,6 @@ class PointSet:
             return item.n == self.n and item.mask in self.masks
         return item in self.masks
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PointSet):
-            return NotImplemented
-        return self.n == other.n and self.masks == other.masks
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.masks))
-
     def __repr__(self) -> str:
         return f"PointSet(n={self.n}, {{{', '.join(str(m) for m in self._sorted)}}})"
 
@@ -134,32 +126,28 @@ class XorBasis:
     def __init__(self) -> None:
         self.table: dict[int, tuple[int, int]] = {}
 
+    def _reduce(self, vec: int, marker: int) -> tuple[int, int]:
+        """Clear pivots from vec, lowest first, until none matches; marker follows."""
+        table = self.table
+        while vec:
+            entry = table.get(vec & -vec)
+            if entry is None:
+                break
+            vec ^= entry[0]
+            marker ^= entry[1]
+        return vec, marker
+
     def insert(self, vec: int, marker: int = 0) -> bool:
         """Add vec; return False (and change nothing) if it is dependent."""
-        r, mk = vec, marker
-        table = self.table
-        while r:
-            low = r & -r
-            entry = table.get(low)
-            if entry is None:
-                table[low] = (r, mk)
-                return True
-            r ^= entry[0]
-            mk ^= entry[1]
-        return False
+        r, mk = self._reduce(vec, marker)
+        if r:
+            self.table[r & -r] = (r, mk)
+        return r != 0
 
     def solve(self, vec: int) -> int | None:
         """Marker combination producing vec, or None if vec is outside the span."""
-        r, mk = vec, 0
-        table = self.table
-        while r:
-            low = r & -r
-            entry = table.get(low)
-            if entry is None:
-                return None
-            r ^= entry[0]
-            mk ^= entry[1]
-        return mk
+        r, mk = self._reduce(vec, 0)
+        return None if r else mk
 
 
 @dataclass(frozen=True)
@@ -208,17 +196,9 @@ class AffineMap:
         """Return self after other: x -> self(other(x))."""
         if self.n != other.n:
             raise DimensionMismatchError("cannot compose maps of different dimensions")
-        other_cols = other.columns()
-        rows = []
-        for row in self.rows:
-            out = 0
-            for j, col in enumerate(other_cols):
-                out |= ((row & col).bit_count() & 1) << j
-            rows.append(out)
-        lin_b = 0
-        for i, row in enumerate(self.rows):
-            lin_b ^= ((row & other.translation).bit_count() & 1) << i
-        return AffineMap(self.n, tuple(rows), lin_b ^ self.translation)
+        # column j of the product is self applied to column j of other, less self's translation
+        cols = [self.apply_mask(col) ^ self.translation for col in other.columns()]
+        return AffineMap(self.n, _transpose(cols, self.n), self.apply_mask(other.translation))
 
     def inverse(self) -> AffineMap:
         """Inverse map; raises ValueError if the linear part is singular."""

@@ -106,6 +106,14 @@ class TestCap:
         with pytest.raises(AttributeError):
             c.dim = 5
 
+    def test_equality_follows_points(self):
+        a, b = Cap(pset(7, *FRAME7)), Cap(PointSet(7, reversed(FRAME7)))
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a != Cap(pset(7, *FRAME7, 15))
+        assert a != Cap(pset(8, *FRAME7))
+        assert a != a.points
+
 
 class TestQuadClosure:
     def test_plane_closes(self):

@@ -245,7 +245,18 @@ class TestEquivCommand:
         code, out, err = run(capsys, "equiv", str(wide), str(wide))
         assert code == 2
         assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
         assert "limited to 14 points" in err
+
+    def test_size_mismatch_is_decided_past_the_form_limit(self, tmp_path, capsys):
+        # a size or dimension mismatch needs no canonical form, so a 15-point cap gets a verdict
+        wide, narrow = tmp_path / "wide.cap", tmp_path / "narrow.cap"
+        wide.write_text(render_capfile(PointSet(14, [0] + [1 << i for i in range(14)])))
+        narrow.write_text(render_capfile(PointSet(14, [0] + [1 << i for i in range(13)])))
+        code, out, err = run(capsys, "equiv", str(wide), str(narrow))
+        assert code == 0
+        assert json.loads(out) == {"equivalent": False}
+        assert err == ""
 
     def test_non_cap_input_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.cap"

@@ -366,7 +366,7 @@ class TestFormKernelsMatchReference:
         "inputs", (seeded_kernel_inputs, classified_basis_rows, tie_heavy_inputs, dim8_normalized_basis_rows)
     )
     def test_basis_masks(self, inputs, monkeypatch):
-        # cold caches, then label-free hits alone, then raw hits; rows with
+        # cold caches, then norm-key hits alone, then raw hits; rows with
         # two supports go through the same memoised kernel as the rest
         for name in ("_RAW_FORM_CACHE", "_NORM_FORM_CACHE"):
             monkeypatch.setattr(equivalence, name, {})

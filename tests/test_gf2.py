@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from capclass.gf2 import (
     AffineMap,
     Point,
     PointSet,
+    XorBasis,
     _transpose,
     affine_dim,
     affine_span,
@@ -218,6 +221,75 @@ class TestAffineMap:
         assert t(xor_sum(points)) == xor_sum([t(p) for p in points])
 
 
+def seeded_map(n, seed, invertible):
+    """An affine map on AG(n,2): random_invertible_affine's, or rows drawn freely and made singular."""
+    if invertible:
+        return random_invertible_affine(n, seed)
+    rng = random.Random(seed)
+    rows = [rng.getrandbits(n) for _ in range(n)]
+    rows[rng.randrange(n)] = 0
+    return AffineMap(n, tuple(rows), rng.getrandbits(n))
+
+
+class TestCompose:
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("kinds", [(True, True), (True, False), (False, True), (False, False)])
+    def test_compose_is_self_after_other(self, n, kinds):
+        for seed in range(5):
+            a = seeded_map(n, 2 * seed, kinds[0])
+            b = seeded_map(n, 2 * seed + 1, kinds[1])
+            ab = a.compose(b)
+            assert all(ab.apply_mask(x) == a.apply_mask(b.apply_mask(x)) for x in range(1 << n))
+
+    def test_argument_order_matters(self):
+        a = AffineMap(2, (0b01, 0b11), 0b01)
+        b = AffineMap(2, (0b10, 0b01), 0b00)
+        assert a.compose(b) != b.compose(a)
+        assert a.compose(b).apply_mask(0b01) == a.apply_mask(b.apply_mask(0b01)) == 0b11
+        assert b.compose(a).apply_mask(0b01) == b.apply_mask(a.apply_mask(0b01)) == 0b01
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            AffineMap.identity(3).compose(AffineMap.identity(4))
+
+
+class TestXorBasis:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_insert_reports_rank_growth(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 8)
+        vectors = [rng.getrandbits(n) for _ in range(rng.randint(1, 12))]
+        xb = XorBasis()
+        for i, v in enumerate(vectors):
+            # rank_oracle is affine, so a leading zero makes it the linear rank of the rest
+            grows = rank_oracle([0] + vectors[: i + 1]) > rank_oracle([0] + vectors[:i])
+            before = dict(xb.table)
+            assert xb.insert(v, 1 << i) == grows
+            if not grows:
+                assert xb.table == before
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_solve_names_inserted_vectors(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 6)
+        vectors = [rng.getrandbits(n) for _ in range(rng.randint(1, 8))]
+        xb = XorBasis()
+        for i, v in enumerate(vectors):
+            xb.insert(v, 1 << i)
+        # the affine span of the vectors and zero is their linear span
+        span = odd_sum_closure({0, *vectors})
+        for x in range(1 << n):
+            marker = xb.solve(x)
+            if x not in span:
+                assert marker is None
+                continue
+            total = 0
+            for i, v in enumerate(vectors):
+                if marker >> i & 1:
+                    total ^= v
+            assert total == x
+
+
 class TestPointSet:
     def test_membership_and_iteration_order(self):
         s = pset(4, 9, 1, 4)
@@ -232,6 +304,22 @@ class TestPointSet:
     def test_mask_range_checked(self):
         with pytest.raises(ValueError):
             PointSet(3, [8])
+
+    def test_refuses_assignment(self):
+        s = pset(4, 1, 2)
+        with pytest.raises(AttributeError):
+            s.n = 5
+        with pytest.raises(AttributeError):
+            s.masks = frozenset({3})
+
+    def test_order_of_construction_is_forgotten(self):
+        a, b = PointSet(5, [9, 1, 30, 4]), PointSet(5, (4, 30, 1, 9, 9))
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a != PointSet(6, [9, 1, 30, 4])
+
+    def test_not_equal_to_a_bare_frozenset(self):
+        assert pset(4, 1, 2) != frozenset({1, 2})
 
     def test_point_validation(self):
         with pytest.raises(ValueError):
