@@ -16,7 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from capclass.classifier import _census_payload, classify, tait_won_bounds
+from capclass.classifier import _DESK_LIMIT, _census_payload, classify, tait_won_bounds
 from capclass.cli import parse_args, run_command
 from capclass.gf2 import Point
 
@@ -40,11 +40,12 @@ def print_table(dim: int, max_size: int) -> int:
         print(f"size {size}: {len(entries)} class(es)")
         for i, entry in enumerate(entries):
             points = " ".join(Point(m, entry.cap.n).to_bits() for m in entry.cap.sorted_masks())
-            census = _census_payload(entry.census) or []
+            census = _census_payload(entry.census)
+            types = f"not computed above {_DESK_LIMIT} points" if census is None else ", ".join(census)
             flag = "complete" if entry.complete else "extendable"
             print(f"  class {i} ({flag})")
             print(f"    points: {points}")
-            print(f"    basis types: {', '.join(census)}")
+            print(f"    basis types: {types}")
     print()
     print("counts:", table.counts())
     return 0

@@ -164,6 +164,8 @@ def brute_force_class_counts(dim: int) -> dict[int, int]:
     """
     if dim > 4:
         raise TooLargeError("brute-force classification is limited to dim <= 4")
+    if dim < 1:
+        raise ValueError("dimension must be at least 1")
     space = 1 << dim
     caps_by_size: dict[int, list[tuple[int, ...]]] = {}
 

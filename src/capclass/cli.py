@@ -142,17 +142,15 @@ def _cmd_closure(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cap_of(path: str, pts: PointSet) -> Cap:
+def _read_cap(path: str) -> Cap:
     try:
-        return Cap(pts)
+        return Cap(_read_points(path))
     except NotACapError:
         raise CapFileError(f"{path} does not describe a cap") from None
 
 
 def _cmd_equiv(args: argparse.Namespace) -> int:
-    pa = _read_points(args.file_a)
-    pb = _read_points(args.file_b)
-    ca, cb = _cap_of(args.file_a, pa), _cap_of(args.file_b, pb)
+    ca, cb = _read_cap(args.file_a), _read_cap(args.file_b)
     if ca.n != cb.n:
         payload: dict = {"equivalent": are_equivalent(ca, cb)}
     else:

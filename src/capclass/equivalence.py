@@ -254,5 +254,4 @@ def verify_map(t: AffineMap, c1: Cap, c2: Cap) -> bool:
         return False
     if not t.is_invertible:
         return False
-    image = {t.apply_mask(m) for m in c1.sorted_masks()}
-    return image == set(c2.sorted_masks())
+    return {t.apply_mask(m) for m in c1.sorted_masks()} == c2.points.masks

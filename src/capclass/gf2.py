@@ -24,6 +24,11 @@ from .errors import (
 MAX_DIM = 16
 
 
+def _check_dim(n: int) -> None:
+    if not 1 <= n <= MAX_DIM:
+        raise ValueError(f"ambient dimension must be in 1..{MAX_DIM}, got {n}")
+
+
 @dataclass(frozen=True)
 class Point:
     """A point of AG(n,2), stored as an n-bit mask."""
@@ -32,8 +37,7 @@ class Point:
     n: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_DIM:
-            raise ValueError(f"ambient dimension must be in 1..{MAX_DIM}, got {self.n}")
+        _check_dim(self.n)
         if not 0 <= self.mask < (1 << self.n):
             raise ValueError(f"mask {self.mask:#x} out of range for n={self.n}")
 
@@ -73,8 +77,7 @@ class PointSet:
     _sorted: tuple[int, ...] = field(compare=False)
 
     def __init__(self, n: int, masks: Iterable[int] = ()):
-        if not 1 <= n <= MAX_DIM:
-            raise ValueError(f"ambient dimension must be in 1..{MAX_DIM}, got {n}")
+        _check_dim(n)
         srt = tuple(sorted(set(masks)))
         if srt and not 0 <= srt[0] <= srt[-1] < (1 << n):
             raise ValueError(f"mask out of range for n={n}")
@@ -87,10 +90,7 @@ class PointSet:
         pts = list(points)
         if not pts:
             raise EmptyInputError("cannot infer ambient dimension from an empty collection")
-        n = pts[0].n
-        if any(p.n != n for p in pts):
-            raise MixedDimensionError("points with mixed ambient dimensions")
-        return cls(n, (p.mask for p in pts))
+        return cls(_require_same_n(pts), (p.mask for p in pts))
 
     def sorted_masks(self) -> tuple[int, ...]:
         return self._sorted
@@ -159,6 +159,7 @@ class AffineMap:
     translation: int
 
     def __post_init__(self) -> None:
+        _check_dim(self.n)
         if len(self.rows) != self.n:
             raise ValueError(f"expected {self.n} matrix rows, got {len(self.rows)}")
         limit = 1 << self.n
@@ -349,8 +350,7 @@ def random_invertible_affine(n: int, seed: int) -> AffineMap:
     dependent, so the result is deterministic for a given seed on every
     platform.
     """
-    if n < 1:
-        raise ValueError("ambient dimension must be at least 1")
+    _check_dim(n)
     rng = random.Random(seed)
     rows: list[int] = []
     xb = XorBasis()

@@ -127,6 +127,11 @@ class TestBruteForceOracle:
         with pytest.raises(TooLargeError):
             brute_force_class_counts(5)
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_dimension_below_one_is_refused(self, dim):
+        with pytest.raises(ValueError, match="dimension must be at least 1"):
+            brute_force_class_counts(dim)
+
     def test_transvections_generate_the_general_linear_group(self):
         # a matrix is its tuple of columns, and a transvection acts on each
         # column; the closure of the identity is all of GL(dim,2)

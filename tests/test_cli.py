@@ -265,6 +265,19 @@ class TestEquivCommand:
         code, _, _ = run(capsys, "equiv", str(bad), good)
         assert code == 3
 
+    def test_each_file_is_read_as_a_cap_before_the_next(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cap"
+        bad.write_text("capfile v1 n=3\n000\n100\n010\n110\n")
+        garbled = tmp_path / "garbled.cap"
+        garbled.write_text("capfile v1 n=3\n0x0\n")
+        code, out, err = run(capsys, "equiv", str(bad), str(garbled))
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {bad} does not describe a cap\n"
+        code, _, err = run(capsys, "equiv", str(garbled), str(bad))
+        assert code == 3
+        assert err == "error: bad point line '0x0' for n=3\n"
+
 
 class TestClassifyCommand:
     def test_toy_run_with_output_directory(self, tmp_path, capsys):
@@ -379,9 +392,9 @@ class TestVerifyPaperCommand:
     def test_corrupted_template_data_fails_the_run(self, capsys, monkeypatch):
         from capclass import templates
 
-        broken = dict(templates._EXPECTED_TYPES)
-        broken["R5"] = ((7,), ())
-        monkeypatch.setattr(templates, "_EXPECTED_TYPES", broken)
+        broken = dict(templates._TEMPLATES)
+        broken["R5"] = (broken["R5"][0], (7,), ())
+        monkeypatch.setattr(templates, "_TEMPLATES", broken)
         code, out, _ = run(
             capsys, "verify-paper", "--fuzz-trials", "1", "--exchange-trials", "5"
         )

@@ -4,6 +4,7 @@ import contextlib
 import io
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -54,6 +55,22 @@ def test_run_classification_script_exits_141_when_its_reader_has_left():
     assert proc.returncode == 141
     assert b"Traceback" not in err
     assert b"Exception ignored" not in err
+
+
+def test_run_classification_script_says_when_the_census_is_not_computed(monkeypatch, capsys):
+    from capclass import classifier
+
+    monkeypatch.setattr(classifier, "_DESK_LIMIT", 5)
+    monkeypatch.setattr(sys, "argv", ["run_classification.py", "4", "6"])
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends its src directory
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(ROOT / "scripts" / "run_classification.py"), run_name="__main__")
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    census = [line.strip() for line in lines if line.strip().startswith("basis types:")]
+    assert "basis types: not computed above 5 points" in census
+    assert "basis types:" not in census
+    assert any(line != "basis types: not computed above 5 points" for line in census)
 
 
 BAD_SCRIPT_ARGUMENTS = (

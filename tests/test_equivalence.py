@@ -319,8 +319,8 @@ def classified_basis_rows():
 
 
 def normalized_basis_rows():
-    """The classified basis rows as the form cache hands them to
-    _min_column_form: relabeled, one per normalized key."""
+    """The classified basis rows, relabeled and kept one per normalized
+    key: the relabelling keeps the reference oracle fast."""
     return sorted({(tuple(sorted(normalize_columns_oracle(*row)[0])), row[1]) for row in classified_basis_rows()})
 
 

@@ -187,6 +187,13 @@ class TestAffineMap:
         with pytest.raises(DimensionMismatchError):
             apply_affine_map(AffineMap.identity(3), pset(4, 1))
 
+    @pytest.mark.parametrize("n", [0, 17])
+    def test_dimension_outside_the_point_range_is_refused(self, n):
+        with pytest.raises(ValueError, match=r"ambient dimension must be in 1\.\.16, got"):
+            AffineMap(n, tuple(1 << i for i in range(n)), 0)
+        with pytest.raises(ValueError, match=r"ambient dimension must be in 1\.\.16, got"):
+            random_invertible_affine(n, 0)
+
     def test_seeded_generation_is_deterministic(self):
         assert random_invertible_affine(7, 0) == random_invertible_affine(7, 0)
         assert random_invertible_affine(7, 0) != random_invertible_affine(7, 1)

@@ -1,12 +1,14 @@
 import pytest
 
-from capclass.capset import is_cap
+from capclass.capset import is_cap, is_complete
 from capclass.decomp import ExtendedType, decompose, extended_type
-from capclass.equivalence import are_equivalent
+from capclass.equivalence import _SIZE_LIMIT, are_equivalent
 from capclass.errors import UnknownLabelError
 from capclass.templates import (
+    HIGHERDIM_FRAME_MASKS,
     LABELS,
     TEMPLATES,
+    _over_frame,
     expected_extended_type,
     generating_basis,
     higherdim_generating_basis,
@@ -60,6 +62,13 @@ def test_unknown_label():
 
 
 class TestHigherdimPair:
+    def test_masks(self):
+        c1, c2 = higherdim_pair()
+        assert c1.sorted_masks() == (0, 1, 2, 4, 8, 15, 16, 32, 51, 64, 128, 195)
+        assert c2.sorted_masks() == (0, 1, 2, 4, 8, 15, 16, 32, 51, 64, 85, 128)
+        assert tuple(p.mask for p in higherdim_generating_basis()) == (0, 1, 2, 4, 8, 16, 32, 64, 128)
+        assert {p.n for p in higherdim_generating_basis()} == {8}
+
     def test_both_are_caps_of_dimension_eight(self):
         c1, c2 = higherdim_pair()
         for c in (c1, c2):
@@ -90,3 +99,29 @@ class TestHigherdimPair:
             union2 |= sup
         assert union1.bit_count() == 9
         assert union2.bit_count() == 8
+
+
+# the QR 18-cap of AG(8,2) (extended [17,9] quadratic-residue code) over the dim-8 frame
+QR18_DEPENDENTS = (
+    (1, 2, 3, 4, 7),
+    (1, 2, 5, 6, 7),
+    (1, 3, 4, 5, 8),
+    (1, 3, 6, 7, 8),
+    (2, 3, 4, 5, 9),
+    (1, 4, 5, 6, 9),
+    (1, 2, 3, 5, 6, 8, 9),
+    (1, 4, 7, 8, 9),
+    (2, 6, 7, 8, 9),
+)
+
+
+def test_qr_18_cap_is_complete_and_past_the_form_limit():
+    # a complete cap larger than the canonical-form limit: why max_cap_size(8) cannot stop at 14
+    cap = _over_frame(HIGHERDIM_FRAME_MASKS, QR18_DEPENDENTS)
+    assert list(cap.sorted_masks()) == [
+        0, 1, 2, 4, 8, 16, 32, 39, 57, 64, 78, 114, 128, 143, 156, 219, 228, 241
+    ]
+    assert cap.size == 18
+    assert cap.dim == 8
+    assert is_complete(cap)
+    assert cap.size > _SIZE_LIMIT
