@@ -6,9 +6,10 @@ character is coordinate 1 (bit 0).  Rendered files list points in
 ascending integer order with LF endings; duplicate lines are rejected.
 
 Exit codes: 0 success, 1 claim failure or failed internal check, 2 usage
-error (an unknown label, a classify size outside dim+1..14, an equiv of
-two caps of one size and affine dimension above the 14-point
-canonical-form limit, or a classify --out path that cannot be written),
+error (an unknown label, a classify dimension outside 1..8 or size
+outside dim+1..14, a negative trial count, an equiv of two caps of one
+size and affine dimension above the 14-point canonical-form limit, or a
+classify --out path that cannot be written),
 3 parse error (including a header not exactly ``capfile v1 n=<n>`` and a
 file that is not UTF-8), 141 stdout closed early (128 + SIGPIPE).  equiv
 decides caps of different sizes or affine dimensions without a canonical

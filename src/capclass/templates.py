@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .capset import Cap
 from .decomp import ExtendedType
-from .errors import UnknownLabelError
+from .errors import InvariantError, NotACapError, UnknownLabelError
 from .gf2 import Point, PointSet
 
 FRAME_MASKS: tuple[int, ...] = (0, 1, 2, 4, 8, 16, 32, 64)
@@ -70,8 +70,12 @@ def _generator_mask(indices: tuple[int, ...], frame: tuple[int, ...]) -> int:
 
 
 def _over_frame(frame: tuple[int, ...], deps: _Deps) -> Cap:
-    """The frame's points plus one dependent per generator list, in AG(len(frame) - 1, 2)."""
-    return Cap(PointSet(len(frame) - 1, list(frame) + [_generator_mask(d, frame) for d in deps]))
+    """The frame's points plus one dependent per generator list, in AG(len(frame) - 1, 2);
+    InvariantError when the lists form a quad, since the tables are the package's own data."""
+    try:
+        return Cap(PointSet(len(frame) - 1, list(frame) + [_generator_mask(d, frame) for d in deps]))
+    except NotACapError as exc:
+        raise InvariantError(f"template data does not give a cap: {exc}") from None
 
 
 def _frame_points(frame: tuple[int, ...]) -> tuple[Point, ...]:

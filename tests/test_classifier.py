@@ -1,14 +1,19 @@
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
-from capclass import classifier
+from capclass import classifier, templates
 from capclass.capset import is_cap
 from capclass.classifier import (
+    _DIM7_CLASSES,
     ClaimResult,
+    ClassTable,
     _transvections,
     brute_force_class_counts,
+    check_census_theorems,
+    check_completeness,
     check_exchange_contract,
     check_higherdim_pair,
     check_invariance_fuzz,
@@ -19,6 +24,7 @@ from capclass.classifier import (
     tait_won_bounds,
     verify_paper,
 )
+from capclass.decomp import ExtendedType
 from capclass.equivalence import are_equivalent, canonical_form
 from capclass.errors import DimensionOverflowError, TooLargeError
 
@@ -211,6 +217,31 @@ class TestClaims:
 
     def test_higherdim_claim(self):
         assert check_higherdim_pair().passed
+
+    def test_dim7_classes_partition_the_templates_by_size(self):
+        placed = [(size, label) for size, classes in _DIM7_CLASSES.items() for labels in classes for label in labels]
+        assert sorted(label for _, label in placed) == sorted(templates.LABELS)
+        sizes = {t.label: t.size for t in templates.TEMPLATES}
+        assert all(sizes[label] == size for size, label in placed)
+
+    @staticmethod
+    def with_first_entry(table, size, **changes):
+        """The table with its first class of this size changed."""
+        first, *rest = table.entries(size)
+        return ClassTable(table.dim, {**table.rows, size: (replace(first, **changes), *rest)})
+
+    def test_completeness_claim_fails_when_a_nine_cap_is_complete(self):
+        table7 = classify(7, 13)
+        assert check_completeness(table7).passed
+        assert not check_completeness(self.with_first_entry(table7, 9, complete=True)).passed
+
+    def test_census_claim_reads_the_whole_eleven_cap_census(self):
+        table7 = classify(7, 13)
+        assert check_census_theorems(table7).passed
+        (entry,) = table7.entries(11)
+        census = entry.census - {ExtendedType((7, 5, 5), (4, 4, 3))}
+        assert len(census) == 2
+        assert not check_census_theorems(self.with_first_entry(table7, 11, census=census)).passed
 
     def test_exchange_claim_small(self):
         table7 = classify(7, 13)

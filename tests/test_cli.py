@@ -400,3 +400,16 @@ class TestVerifyPaperCommand:
         )
         assert code == 1
         assert "FAIL" in out
+
+    @pytest.mark.parametrize(
+        "argv", (("verify-paper", "--fuzz-trials", "1", "--exchange-trials", "5"), ("template", "R5"))
+    )
+    def test_template_generators_forming_a_quad_fail_an_internal_check(self, capsys, monkeypatch, argv):
+        from capclass import templates
+
+        # a1, a2, a3 and a2 + a3 form a quad
+        monkeypatch.setattr(templates, "_TEMPLATES", dict(templates._TEMPLATES, R5=(((2, 3),), (5,), ())))
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "internal check failed" in err

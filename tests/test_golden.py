@@ -20,6 +20,9 @@ GOLDEN = {
     ("classify", "8", "13"): "87059760b489be185f2d9db4f01a2a57684eb9d1b7de873edf377f624a4bfcb1",
     ("verify-paper", "--json", "--fuzz-trials", "10", "--exchange-trials", "100"):
         "2debcd51095565c152cdd576657a41b64c7b0de7d4ef044d6267b02f20dbf921",
+    # the benchmark's verify-paper operation, whose gate reads this digest from perfbench/golden.json
+    ("verify-paper", "--json", "--fuzz-trials", "100", "--exchange-trials", "1000"):
+        "58dd6b329767ab842c67cb4b7f549842ca40aa8b6742e1f0e158254b089dfb6d",
 }
 
 # `capclass equiv` on a cap and an affine image of it: (n, points of a,
