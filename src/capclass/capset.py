@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import EmptyInputError, MixedDimensionError, NotACapError
+from .errors import DimensionMismatchError, EmptyInputError, NotACapError
 from .gf2 import Point, PointSet, _span_masks, affine_dim
 
 # A quad is four distinct points whose XOR is zero; a cap is a quad-free set.
@@ -23,7 +23,7 @@ def is_quad(a: Point, b: Point, c: Point, d: Point) -> bool:
     """True iff the four points are pairwise distinct and XOR to zero."""
     n = a.n
     if b.n != n or c.n != n or d.n != n:
-        raise MixedDimensionError("quad test on points with mixed ambient dimensions")
+        raise DimensionMismatchError("quad test on points with mixed ambient dimensions")
     masks = (a.mask, b.mask, c.mask, d.mask)
     if len(set(masks)) != 4:
         return False
@@ -87,8 +87,6 @@ class Cap:
     dim: int = field(compare=False)
 
     def __init__(self, points: PointSet):
-        if len(points) == 0:
-            raise EmptyInputError("a cap needs at least one point")
         quad = _find_quad_masks(points.sorted_masks())
         if quad is not None:
             raise NotACapError(f"points {quad} form a quad")
@@ -127,8 +125,6 @@ def _qc1_masks(masks: Sequence[int], span_size: int) -> set[int]:
 
 def quad_closure_1(s: PointSet) -> PointSet:
     """s together with the XOR of every three distinct elements of s."""
-    if len(s) == 0:
-        raise EmptyInputError("quad closure of the empty set")
     return PointSet(s.n, _qc1_masks(s.sorted_masks(), 1 << affine_dim(s)))
 
 

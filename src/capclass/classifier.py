@@ -31,7 +31,7 @@ from .decomp import (
     type_census,
 )
 from .equivalence import _SIZE_LIMIT, CanonicalForm, canonical_form, find_isomorphism, verify_map
-from .errors import DimensionOverflowError, InvariantError, NotACapError, TooLargeError
+from .errors import InvariantError, NotACapError, TooLargeError
 from .gf2 import (
     Point,
     PointSet,
@@ -99,7 +99,7 @@ def classify(dim: int, max_size: int) -> ClassTable:
     tried in ascending mask order and each row is sorted by canonical form.
     """
     if dim > _MAX_CLASSIFY_DIM:
-        raise DimensionOverflowError(f"classification supports dim <= {_MAX_CLASSIFY_DIM}")
+        raise TooLargeError(f"classification supports dim <= {_MAX_CLASSIFY_DIM}")
     if dim < 1:
         raise ValueError("dimension must be at least 1")
     if max_size > _SIZE_LIMIT:
@@ -438,13 +438,14 @@ def check_exchange_contract(table7: ClassTable, trials: int = DEFAULT_EXCHANGE_T
         except InvariantError:
             failures += 1
 
-    # the worked example: an 11-point set of basis type 7-5-5-(4,4,3) turns
-    # into 5-5-5-(2,3,3) by swapping a3 with its second dependent
+    # the worked example: the frame a1..a8 with dependents (1..7), (1,2,3,4,8)
+    # and (1,2,5,6,8) has basis type 7-5-5-(4,4,3), and turns into
+    # 5-5-5-(2,3,3) by swapping a3 with its second dependent
     frame = templates.FRAME_MASKS
-    worked = Cap(PointSet(7, frame + (63, 0 ^ 1 ^ 2 ^ 4 ^ 64, 0 ^ 1 ^ 8 ^ 16 ^ 64)))
-    dec = decompose(worked, [Point(m, 7) for m in frame])
+    worked = ((1, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 8), (1, 2, 5, 6, 8))
+    dec = decompose(templates._over_frame(frame, worked), templates._frame_points(frame))
     before = extended_type(dec)
-    swapped = exchange_basis(dec, Point(2, 7), Point(0 ^ 1 ^ 2 ^ 4 ^ 64, 7))
+    swapped = exchange_basis(dec, dec.basis[2], Point(templates._generator_mask(worked[1], frame), 7))
     after = extended_type(swapped)
     example_ok = before == ExtendedType((7, 5, 5), (4, 4, 3)) and after == ExtendedType(
         (5, 5, 5), (2, 3, 3)
@@ -452,7 +453,8 @@ def check_exchange_contract(table7: ClassTable, trials: int = DEFAULT_EXCHANGE_T
 
     ten = templates.instantiate("T10_75_4")
     dec10 = decompose(ten, templates.generating_basis("T10_75_4"))
-    swapped10 = exchange_basis(dec10, Point(4, 7), Point(124, 7))
+    # a4 with the dependent (4,5,6,7,8)
+    swapped10 = exchange_basis(dec10, dec10.basis[3], dec10.dependents[1][0])
     ten_ok = extended_type(swapped10) == ExtendedType((5, 5), (2,))
 
     passed = failures == 0 and example_ok and ten_ok

@@ -7,10 +7,6 @@ class CapError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class MixedDimensionError(CapError):
-    """Points with different ambient dimensions were combined."""
-
-
 class EmptyInputError(CapError):
     """An operation that needs at least one point received none."""
 
@@ -19,12 +15,8 @@ class NotInSpanError(CapError):
     """The target point is not in the affine span of the given basis."""
 
 
-class DependentBasisError(CapError):
-    """A set offered as a basis is affinely dependent."""
-
-
 class DimensionMismatchError(CapError):
-    """An affine map was applied in the wrong ambient dimension."""
+    """Points, sets, maps or caps of different ambient dimensions were combined."""
 
 
 class NotACapError(CapError):
@@ -44,11 +36,7 @@ class ExchangeHypothesisViolated(CapError):
 
 
 class TooLargeError(CapError):
-    """The set is too large for an exhaustive desk-scale computation."""
-
-
-class DimensionOverflowError(CapError):
-    """The requested dimension exceeds the supported search range."""
+    """A size or dimension exceeds the limit of an exhaustive desk-scale computation."""
 
 
 class UnknownLabelError(CapError):

@@ -13,13 +13,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    DependentBasisError,
-    DimensionMismatchError,
-    EmptyInputError,
-    MixedDimensionError,
-    NotInSpanError,
-)
+from .errors import DimensionMismatchError, EmptyInputError, InvalidBasisError, NotInSpanError
 
 MAX_DIM = 16
 
@@ -43,7 +37,7 @@ class Point:
 
     def __xor__(self, other: Point) -> Point:
         if self.n != other.n:
-            raise MixedDimensionError(f"cannot add points with n={self.n} and n={other.n}")
+            raise DimensionMismatchError(f"cannot add points with n={self.n} and n={other.n}")
         return Point(self.mask ^ other.mask, self.n)
 
     def to_bits(self) -> str:
@@ -239,7 +233,7 @@ def _require_same_n(points: Sequence[Point]) -> int:
     n = points[0].n
     for p in points[1:]:
         if p.n != n:
-            raise MixedDimensionError("points with mixed ambient dimensions")
+            raise DimensionMismatchError("points with mixed ambient dimensions")
     return n
 
 
@@ -260,8 +254,11 @@ def _affine_elimination(masks: Sequence[int]) -> tuple[XorBasis, list[int]]:
     Returns the solver and the indices whose insert failed: the points
     that depend on the ones before them.  The others, with masks[0],
     form the greedy affine basis, and the solver's markers name subsets
-    of it.
+    of it.  Every affine question about a point set reaches here first,
+    so this is where the empty set is refused.
     """
+    if not masks:
+        raise EmptyInputError("the empty set has no affine span")
     t = masks[0]
     xb = XorBasis()
     dependent = [i for i in range(1, len(masks)) if not xb.insert(masks[i] ^ t, 1 << i)]
@@ -269,11 +266,12 @@ def _affine_elimination(masks: Sequence[int]) -> tuple[XorBasis, list[int]]:
 
 
 def _span_masks(masks: Sequence[int]) -> set[int]:
-    t = masks[0]
-    span = [0]
-    for vec, _ in _affine_elimination(masks)[0].table.values():
+    # eliminate before reading masks[0]: the elimination refuses an empty set
+    rows = _affine_elimination(masks)[0].table.values()
+    span = [masks[0]]
+    for vec, _ in rows:
         span += [s ^ vec for s in span]
-    return {s ^ t for s in span}
+    return set(span)
 
 
 def _affine_rank(masks: Sequence[int]) -> int:
@@ -282,29 +280,21 @@ def _affine_rank(masks: Sequence[int]) -> int:
 
 def affine_span(s: PointSet) -> PointSet:
     """All odd-count XOR combinations of s: the smallest flat containing it."""
-    if len(s) == 0:
-        raise EmptyInputError("affine span of the empty set")
     return PointSet(s.n, _span_masks(s.sorted_masks()))
 
 
 def affine_dim(s: PointSet) -> int:
     """Dimension of the affine span of s."""
-    if len(s) == 0:
-        raise EmptyInputError("affine dimension of the empty set")
     return _affine_rank(s.sorted_masks())
 
 
 def is_affinely_independent(s: PointSet) -> bool:
     """True iff no point of s is an odd-count XOR of other points of s."""
-    if len(s) == 0:
-        raise EmptyInputError("independence of the empty set")
     return affine_dim(s) == len(s) - 1
 
 
 def extract_basis(s: PointSet) -> tuple[Point, ...]:
     """Deterministic affine basis: scan ascending masks, keep rank-increasing points."""
-    if len(s) == 0:
-        raise EmptyInputError("basis of the empty set")
     masks = s.sorted_masks()
     dependent = set(_affine_elimination(masks)[1])
     return tuple(Point(m, s.n) for i, m in enumerate(masks) if i not in dependent)
@@ -323,13 +313,11 @@ def _solve_support(xb: XorBasis, t: int, x: int) -> int | None:
 
 def coordinates(basis: Sequence[Point], x: Point) -> int:
     """Subset mask over basis positions of the unique odd subset XORing to x."""
-    if not basis:
-        raise EmptyInputError("coordinates with respect to an empty basis")
     _require_same_n(list(basis) + [x])
     basis_masks = [p.mask for p in basis]
     xb, dependent = _affine_elimination(basis_masks)
     if dependent:
-        raise DependentBasisError("basis is affinely dependent")
+        raise InvalidBasisError("basis is affinely dependent")
     support = _solve_support(xb, basis_masks[0], x.mask)
     if support is None:
         raise NotInSpanError(f"point {x.mask} is outside the span of the basis")

@@ -11,7 +11,7 @@ from capclass.capset import (
     is_quad,
     quad_closure_1,
 )
-from capclass.errors import EmptyInputError, MixedDimensionError, NotACapError
+from capclass.errors import DimensionMismatchError, EmptyInputError, NotACapError
 from capclass.gf2 import Point, PointSet, affine_span, apply_affine_map, random_invertible_affine
 from capclass.templates import instantiate
 
@@ -45,7 +45,7 @@ class TestIsQuad:
         assert not is_quad(Point(1, 3), Point(1, 3), Point(2, 3), Point(2, 3))
 
     def test_mixed_dimensions_rejected(self):
-        with pytest.raises(MixedDimensionError):
+        with pytest.raises(DimensionMismatchError):
             is_quad(Point(1, 3), Point(1, 4), Point(2, 4), Point(2, 4))
 
 

@@ -10,15 +10,19 @@ from capclass.classifier import (
     _DIM7_CLASSES,
     ClaimResult,
     ClassTable,
+    _lemma_violations,
     _transvections,
     brute_force_class_counts,
     check_census_theorems,
     check_completeness,
+    check_equivalence_structure,
     check_exchange_contract,
     check_higherdim_pair,
     check_invariance_fuzz,
+    check_lemma_suite,
     check_size_bounds,
     check_template_validity,
+    check_toy_oracle,
     classify,
     max_cap_size,
     tait_won_bounds,
@@ -26,7 +30,8 @@ from capclass.classifier import (
 )
 from capclass.decomp import ExtendedType
 from capclass.equivalence import are_equivalent, canonical_form
-from capclass.errors import DimensionOverflowError, TooLargeError
+from capclass.errors import InvariantError, TooLargeError
+from capclass.gf2 import AffineMap, PointSet
 
 from oracles import has_quad, max_cap_size_exhaustive, no_thirteen_cap_structure, thirteen_cap_pair_survey
 
@@ -109,7 +114,7 @@ class TestClassify:
                 assert smaller_forms & set(subs)
 
     def test_dimension_guard(self):
-        with pytest.raises(DimensionOverflowError):
+        with pytest.raises(TooLargeError):
             classify(9, 10)
 
     @pytest.mark.parametrize("max_size", [0, -3, 3, 7])
@@ -166,7 +171,7 @@ class TestMaxCapSize:
             assert has_quad(list(subset))
 
     def test_overflow_guard(self):
-        with pytest.raises(DimensionOverflowError):
+        with pytest.raises(TooLargeError):
             max_cap_size(9)
 
     def test_a_cut_classification_gives_no_maximum(self, monkeypatch):
@@ -242,6 +247,87 @@ class TestClaims:
         census = entry.census - {ExtendedType((7, 5, 5), (4, 4, 3))}
         assert len(census) == 2
         assert not check_census_theorems(self.with_first_entry(table7, 11, census=census)).passed
+
+    def test_completeness_claim_fails_when_the_twelve_cap_is_incomplete(self):
+        table7 = classify(7, 13)
+        res = check_completeness(self.with_first_entry(table7, 12, complete=False))
+        assert res.witness["problems"] == ["12-cap completeness"]
+
+    def test_completeness_claim_fails_without_extension_witnesses(self, monkeypatch):
+        table7 = classify(7, 13)  # classify itself reads extension_candidates
+        monkeypatch.setattr(classifier, "extension_candidates", lambda cap: PointSet(cap.n))
+        problems = check_completeness(table7).witness["problems"]
+        assert "12-cap completeness" not in problems
+        assert "9-cap representative 1 should be extendable" in problems
+        assert problems[-3:] == [f"extension witness for {label}" for label in ("T10_55_2", "T10_55_3", "T11_555_332")]
+
+    @pytest.mark.parametrize("patches, problems", [
+        ({"find_isomorphism": lambda a, b: None}, 7),
+        ({"verify_map": lambda t, a, b: False}, 7),
+        ({"find_isomorphism": lambda a, b: AffineMap.identity(7), "verify_map": lambda t, a, b: True}, 1),
+    ])
+    def test_equivalence_claim_fails_on_a_missing_map_or_a_merged_class(self, monkeypatch, patches, problems):
+        for name, fake in patches.items():
+            monkeypatch.setattr(classifier, name, fake)
+        res = check_equivalence_structure()
+        assert not res.passed
+        assert len(res.witness["problems"]) == problems
+        assert res.witness["ten_cap_classes_distinct"] == (problems == 7)
+
+    def test_exchange_claim_counts_a_failed_exchange(self, monkeypatch):
+        # only the first call fails: the worked examples after the trials call exchange_basis unguarded
+        calls = []
+
+        def fail_first(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise InvariantError("planted")
+            return original(*args)
+
+        original = classifier.exchange_basis
+        monkeypatch.setattr(classifier, "exchange_basis", fail_first)
+        res = check_exchange_contract(classify(7, 13), trials=1)
+        assert not res.passed
+        assert res.witness["failures"] == 1
+        assert len(calls) == 3
+
+    def test_every_lemma_fails_on_the_thirteen_caps_of_dimension_8(self):
+        laws = (
+            "support size outside {5,7}",
+            "two size-7 supports",
+            "5-5 intersection",
+            "7-5 intersection",
+            "triple union",
+            "triple intersection identity",
+            "two 2-intersections in a triple",
+            "all-3 quadruple",
+            "three 2-intersections in a quadruple",
+            "overlapping 2-pairs",
+            "quadruple intersection",
+        )
+        table8 = classify(8, 13)
+        entries = table8.entries(13)
+        assert len(entries) == 5
+        violations = [v for entry in entries for v in _lemma_violations(entry.cap)]
+        assert all(any(v.startswith(law) for v in violations) for law in laws)
+        assert not check_lemma_suite(table8).passed
+
+    @pytest.mark.parametrize("image, kinds", [
+        (PointSet(7, (0, 1, 2, 3)), {"image is not a cap"}),
+        (templates.instantiate("T12_7555").points, {"canonical form changed", "completeness changed", "census changed"}),
+    ])
+    def test_invariance_claim_fails_when_an_image_differs(self, monkeypatch, image, kinds):
+        monkeypatch.setattr(classifier, "apply_affine_map", lambda t, points: image)
+        res = check_invariance_fuzz(1)
+        assert not res.passed
+        assert kinds <= {v.split(": ", 1)[1] for v in res.witness["violations"]}
+
+    def test_toy_oracle_claim_fails_on_a_count_mismatch(self, monkeypatch):
+        original = classifier.brute_force_class_counts
+        monkeypatch.setattr(classifier, "brute_force_class_counts", lambda dim: {**original(dim), dim + 1: 2})
+        res = check_toy_oracle()
+        assert not res.passed
+        assert res.witness["mismatches"] == [f"dim {d} size {d + 1}: classify 1 vs oracle 2" for d in (1, 2, 3, 4)]
 
     def test_exchange_claim_small(self):
         table7 = classify(7, 13)

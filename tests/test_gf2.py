@@ -5,10 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capclass.errors import (
-    DependentBasisError,
     DimensionMismatchError,
     EmptyInputError,
-    MixedDimensionError,
+    InvalidBasisError,
     NotInSpanError,
 )
 from capclass.gf2 import (
@@ -62,7 +61,7 @@ class TestXorSum:
         assert xor_sum(pts(4, 0, 1, 2, 4, 8)).mask == 15
 
     def test_mixed_dimension_rejected(self):
-        with pytest.raises(MixedDimensionError):
+        with pytest.raises(DimensionMismatchError):
             xor_sum([Point(1, 3), Point(1, 4)])
 
     def test_empty_rejected(self):
@@ -161,7 +160,7 @@ class TestCoordinates:
             coordinates(pts(3, 0, 1), Point(4, 3))
 
     def test_dependent_basis_rejected(self):
-        with pytest.raises(DependentBasisError):
+        with pytest.raises(InvalidBasisError):
             coordinates(pts(3, 0, 1, 2, 3), Point(1, 3))
 
     @given(point_sets(min_size=2, max_size=9))
