@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Sequence
 
 from .errors import DimensionMismatchError, EmptyInputError, NotACapError
@@ -16,7 +17,7 @@ from .gf2 import Point, PointSet, _span_masks, affine_dim
 # (a = c would force b = d), so a,b,c,d are four distinct points with
 # a^b^c^d = 0, a quad.  Conversely a quad {a,b,c,d} gives a^b = c^d with
 # {a,b} != {c,d}.  The pair form is what the O(k^2) checks below use; the
-# O(k^4) four-subset scan is kept as an oracle behind ``exhaustive=``.
+# O(k^4) four-subset scan is kept as the oracle ``_is_cap_exhaustive``.
 
 
 def is_quad(a: Point, b: Point, c: Point, d: Point) -> bool:
@@ -46,23 +47,7 @@ def _find_quad_masks(masks: Sequence[int]) -> tuple[int, int, int, int] | None:
 
 
 def _is_cap_exhaustive(masks: Sequence[int]) -> bool:
-    from itertools import combinations
-
     return all(a ^ b ^ c ^ d != 0 for a, b, c, d in combinations(masks, 4))
-
-
-def is_cap(s: PointSet, *, exhaustive: bool = False) -> bool:
-    """True iff no four distinct points of s XOR to zero.
-
-    Uses the pair form of quad-freeness (see the lemma above); pass
-    ``exhaustive=True`` to run the literal four-subset scan instead.
-    """
-    if len(s) == 0:
-        raise EmptyInputError("cap test on the empty set")
-    masks = s.sorted_masks()
-    if exhaustive:
-        return _is_cap_exhaustive(masks)
-    return _find_quad_masks(masks) is None
 
 
 def find_quad(s: PointSet) -> tuple[Point, Point, Point, Point] | None:
@@ -73,6 +58,11 @@ def find_quad(s: PointSet) -> tuple[Point, Point, Point, Point] | None:
     if hit is None:
         return None
     return tuple(Point(m, s.n) for m in hit)
+
+
+def is_cap(s: PointSet) -> bool:
+    """True iff no four distinct points of s XOR to zero (the pair form, see the lemma above)."""
+    return find_quad(s) is None
 
 
 @dataclass(frozen=True, init=False, repr=False, slots=True)
@@ -129,10 +119,12 @@ def quad_closure_1(s: PointSet) -> PointSet:
 
 
 def is_complete(c: Cap) -> bool:
-    """True iff the first quad closure of c already fills its affine span."""
-    masks = c.sorted_masks()
-    span = _span_masks(masks)
-    return _qc1_masks(masks, len(span)) == span
+    """True iff the first quad closure of c already fills its affine span.
+
+    Each XOR of three points is an affine combination, so the closure lies
+    in the span; it fills the span exactly when it has 2^dim points.
+    """
+    return len(_qc1_masks(c.sorted_masks(), 1 << c.dim)) == 1 << c.dim
 
 
 def extension_candidates(c: Cap) -> PointSet:

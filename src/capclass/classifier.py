@@ -17,9 +17,9 @@ import time
 from dataclasses import dataclass
 from functools import wraps
 from itertools import combinations
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
-from .capset import Cap, extension_candidates, is_cap, is_complete, quad_closure_1
+from .capset import Cap, _is_cap_exhaustive, extension_candidates, is_complete, quad_closure_1
 from .decomp import (
     _DESK_LIMIT,
     ExtendedType,
@@ -283,7 +283,7 @@ def check_template_validity() -> tuple[bool, dict]:
         ok = (
             cap.size == tid.size
             and cap.dim == 7
-            and is_cap(cap.points, exhaustive=True)
+            and _is_cap_exhaustive(cap.sorted_masks())
             and got == want
         )
         details[tid.label] = {
@@ -324,10 +324,23 @@ check_dim7_counts = _counts_claim(
 check_dim6_counts = _counts_claim("dim6-classification-counts", {7: 1, 8: 2, 9: 1, 10: 0})
 
 
+def _class_mismatches(table7: ClassTable, sizes: Iterable[int]) -> list[int]:
+    """The sizes whose row does not hold exactly the classes _DIM7_CLASSES
+    lists for them, each once, compared by canonical form; a size it does
+    not list holds no class."""
+    return [
+        size
+        for size in sizes
+        if sorted(entry.form for entry in table7.entries(size))
+        != sorted(canonical_form(templates.instantiate(labels[0])) for labels in _DIM7_CLASSES.get(size, ()))
+    ]
+
+
 @_claim("completeness-witnesses")
 def check_completeness(table7: ClassTable) -> tuple[bool, dict]:
-    """Only the 12-caps are complete; smaller caps extend, with named witnesses."""
-    problems = []
+    """Only the 12-caps are complete; smaller caps extend, with named witnesses.
+    Each size from 8 to 12 must hold exactly its classes."""
+    problems = [f"size-{size} classes" for size in _class_mismatches(table7, [s for s in _DIM7_CLASSES if s <= 12])]
     witness: dict = {}
 
     twelve = table7.entries(12)
@@ -428,6 +441,8 @@ def check_exchange_contract(table7: ClassTable, trials: int = DEFAULT_EXCHANGE_T
                     raise InvariantError(f"no exchange is admissible at basis {subset} of a {cap.size}-cap")
                 moves.append((dec, valid))
             pool.append(moves)
+    if trials and not pool:
+        raise InvariantError("the table holds no 9- to 12-cap to draw exchanges from")
     failures = 0
     for _ in range(trials):
         bases = pool[rng.randrange(len(pool))]
@@ -515,11 +530,13 @@ def _lemma_violations(cap: Cap) -> list[str]:
 
 @_claim("lemma-suite")
 def check_lemma_suite(table7: ClassTable) -> tuple[bool, dict]:
-    """Structural laws hold for every basis of every dim-7 representative."""
-    violations = []
+    """Structural laws hold for every basis of every dim-7 representative, and
+    each size holds exactly its classes."""
+    sizes = sorted(set(_DIM7_CLASSES) | set(table7.rows))
+    violations = [f"size {size}: classes differ from the classification" for size in _class_mismatches(table7, sizes)]
     checked = 0
-    for size, entries in table7.rows.items():
-        for entry in entries:
+    for size in sizes:
+        for entry in table7.entries(size):
             checked += 1
             violations += [f"size {size}: {v}" for v in _lemma_violations(entry.cap)]
     return not violations, {

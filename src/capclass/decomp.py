@@ -335,10 +335,11 @@ def _scan(masks: tuple[int, ...], bc: int, one_per_class: bool) -> tuple[tuple[t
     return tuple(out)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _basis_scan(masks: tuple[int, ...], bc: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """(subset indices, dependent supports) for one basis per dual-column
-    class, cached per point set.
+    class, cached for the last point set only: the reuse that occurs is a
+    census reading the scan its cap's canonical form made just before.
 
     Point c's dual column is bit c of the r dual rows.  Points with equal
     nonzero dual columns are in series (parallel in the dual matroid;

@@ -200,7 +200,11 @@ def canonical_form(c: Cap) -> CanonicalForm:
 
 
 def are_equivalent(c1: Cap, c2: Cap) -> bool:
-    """True iff some invertible affine map carries c1 onto c2."""
+    """True iff some invertible affine map carries c1 onto c2, for caps of
+    one ambient dimension.  Caps of different ambient dimensions are
+    compared by canonical form alone, which forgets the ambient space: the
+    answer is True when their affine spans hold equivalent caps, though no
+    map between the two spaces exists."""
     if c1.size != c2.size or c1.dim != c2.dim:
         return False
     return canonical_form(c1) == canonical_form(c2)

@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capclass import classifier
 from capclass.capset import (
     Cap,
+    _is_cap_exhaustive,
     extension_candidates,
     find_quad,
     is_cap,
@@ -11,9 +13,10 @@ from capclass.capset import (
     is_quad,
     quad_closure_1,
 )
+from capclass.classifier import classify
 from capclass.errors import DimensionMismatchError, EmptyInputError, NotACapError
 from capclass.gf2 import Point, PointSet, affine_span, apply_affine_map, random_invertible_affine
-from capclass.templates import instantiate
+from capclass.templates import LABELS, instantiate
 
 from oracles import has_quad
 
@@ -66,7 +69,7 @@ class TestIsCap:
     @given(point_sets())
     @settings(max_examples=150)
     def test_pair_form_matches_four_subset_scan(self, s):
-        assert is_cap(s) == is_cap(s, exhaustive=True) == (not has_quad(list(s.sorted_masks())))
+        assert is_cap(s) == _is_cap_exhaustive(s.sorted_masks()) == (not has_quad(list(s.sorted_masks())))
 
     @given(point_sets(min_size=2))
     def test_subsets_of_caps_are_caps(self, s):
@@ -140,6 +143,22 @@ class TestCompleteness:
 
     def test_eleven_cap_is_not(self):
         assert not is_complete(instantiate("T11_555_332"))
+
+    @pytest.mark.parametrize("dim", (6, 7, 8))
+    def test_closure_count_agrees_with_the_candidates_on_classify_candidates(self, dim, monkeypatch):
+        seen = []
+        original = classifier.canonical_form
+        monkeypatch.setattr(classifier, "canonical_form", lambda cap: seen.append(cap) or original(cap))
+        classify(dim, 13)
+        assert seen
+        for cap in seen:
+            assert is_complete(cap) == (len(extension_candidates(cap)) == 0)
+
+    @pytest.mark.parametrize("label", LABELS)
+    def test_closure_count_agrees_with_the_candidates_on_template_images(self, label):
+        for seed in range(10):
+            cap = Cap(apply_affine_map(random_invertible_affine(7, seed), instantiate(label).points))
+            assert is_complete(cap) == (len(extension_candidates(cap)) == 0) == (cap.size == 12)
 
 
 class TestExtensionCandidates:

@@ -253,6 +253,24 @@ class TestClaims:
         res = check_completeness(self.with_first_entry(table7, 12, complete=False))
         assert res.witness["problems"] == ["12-cap completeness"]
 
+    @pytest.mark.parametrize("copies", (0, 2), ids=("removed", "listed-twice"))
+    def test_completeness_claim_fails_unless_the_twelve_cap_class_is_listed_once(self, copies):
+        table7 = classify(7, 13)
+        res = check_completeness(ClassTable(7, {**table7.rows, 12: table7.entries(12) * copies}))
+        assert not res.passed
+        assert res.witness["problems"][0] == "size-12 classes"
+
+    def test_lemma_suite_fails_on_a_table_with_no_classes(self):
+        res = check_lemma_suite(ClassTable(7, {}))
+        assert not res.passed
+        assert res.witness["caps_checked"] == 0
+        assert res.witness["violations"][0] == "size 8: classes differ from the classification"
+
+    def test_exchange_claim_refuses_a_table_with_nothing_to_draw(self):
+        with pytest.raises(InvariantError, match="no 9- to 12-cap"):
+            check_exchange_contract(ClassTable(7, {}), trials=5)
+        assert check_exchange_contract(ClassTable(7, {}), trials=0).passed
+
     def test_completeness_claim_fails_without_extension_witnesses(self, monkeypatch):
         table7 = classify(7, 13)  # classify itself reads extension_candidates
         monkeypatch.setattr(classifier, "extension_candidates", lambda cap: PointSet(cap.n))

@@ -138,6 +138,23 @@ class TestCheckCommand:
         assert code == 3
         assert "error" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty cap file"),
+        ("capfile v1 n=x\n", "bad dimension in header"),
+        ("capfile v1 n=0\n", "dimension 0 out of range"),
+        ("capfile v1 n=17\n", "dimension 17 out of range"),
+    ], ids=("empty", "n=x", "n=0", "n=17"))
+    def test_refused_file_exits_3_with_one_error_line(self, tmp_path, capsys, text, message):
+        with pytest.raises(CapFileError, match=message):
+            parse_capfile(text)
+        path = tmp_path / "refused.cap"
+        path.write_text(text)
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 3
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and message in line
+
     def test_missing_file_exits_3(self, capsys):
         code, _, _ = run(capsys, "check", "/nonexistent/never.cap")
         assert code == 3

@@ -25,6 +25,7 @@ from capclass.decomp import (
     support_intersection,
     type_census,
 )
+from capclass.equivalence import canonical_form
 from capclass.errors import (
     BadIndexError,
     EmptyInputError,
@@ -441,6 +442,13 @@ class TestTypeCensus:
         big = Cap(PointSet(16, tuple(1 << i for i in range(14))))
         with pytest.raises(TooLargeError):
             type_census(big)
+
+    def test_census_reads_the_scan_its_canonical_form_made(self):
+        cap = template_image("T11_555_332", 7)
+        _basis_scan.cache_clear()
+        canonical_form(cap)
+        type_census(cap)
+        assert _basis_scan.cache_info().misses == 1
 
     def test_type_cache_stays_bounded(self, monkeypatch):
         from capclass.gf2 import apply_affine_map, random_invertible_affine

@@ -8,7 +8,7 @@ import pytest
 
 from capclass import errors
 from capclass.capset import Cap, find_quad, is_cap, quad_closure_1
-from capclass.classifier import brute_force_class_counts, classify
+from capclass.classifier import brute_force_class_counts, classify, tait_won_bounds
 from capclass.cli import run_command
 from capclass.decomp import decompose
 from capclass.equivalence import verify_map
@@ -62,6 +62,17 @@ def test_affine_map_needs_one_row_per_coordinate():
 def test_bit_strings_hold_only_zeros_and_ones():
     with pytest.raises(ValueError, match="invalid coordinate character '2'"):
         Point.from_bits("0120")
+
+
+@pytest.mark.parametrize("call", [lambda: classify(0, 5), lambda: tait_won_bounds(0)], ids=("classify", "tait_won_bounds"))
+def test_dimension_zero_is_refused(call):
+    with pytest.raises(ValueError, match="dimension must be at least 1"):
+        call()
+
+
+def test_a_map_refuses_a_point_of_another_dimension():
+    with pytest.raises(DimensionMismatchError, match="map on n=3 applied to point with n=4"):
+        AffineMap.identity(3)(Point(1, 4))
 
 
 class TestVerifyMap:
