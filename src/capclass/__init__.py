@@ -7,7 +7,7 @@ bases, tests affine equivalence through canonical forms, and classifies
 all caps of a given dimension by exhaustive, isomorph-free search.
 """
 
-from .capset import Cap, extension_candidates, find_quad, is_cap, is_complete, is_quad, quad_closure_1
+from .capset import Cap, extension_candidates, find_quad, is_cap, is_complete, quad_closure_1
 from .classifier import (
     ClassEntry,
     ClassTable,
@@ -24,7 +24,6 @@ from .decomp import (
     decompose,
     exchange_basis,
     extended_type,
-    support_intersection,
     type_census,
 )
 from .equivalence import CanonicalForm, are_equivalent, canonical_form, find_isomorphism, verify_map
@@ -36,11 +35,8 @@ from .gf2 import (
     affine_dim,
     affine_span,
     apply_affine_map,
-    coordinates,
     extract_basis,
-    is_affinely_independent,
     random_invertible_affine,
-    xor_sum,
 )
 from .templates import (
     LABELS,
@@ -52,4 +48,4 @@ from .templates import (
     instantiate,
 )
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"

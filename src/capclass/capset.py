@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
 
-from .errors import DimensionMismatchError, EmptyInputError, NotACapError
+from .errors import EmptyInputError, NotACapError
 from .gf2 import Point, PointSet, _span_masks, affine_dim
 
 # A quad is four distinct points whose XOR is zero; a cap is a quad-free set.
@@ -18,17 +18,6 @@ from .gf2 import Point, PointSet, _span_masks, affine_dim
 # a^b^c^d = 0, a quad.  Conversely a quad {a,b,c,d} gives a^b = c^d with
 # {a,b} != {c,d}.  The pair form is what the O(k^2) checks below use; the
 # O(k^4) four-subset scan is kept as the oracle ``_is_cap_exhaustive``.
-
-
-def is_quad(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """True iff the four points are pairwise distinct and XOR to zero."""
-    n = a.n
-    if b.n != n or c.n != n or d.n != n:
-        raise DimensionMismatchError("quad test on points with mixed ambient dimensions")
-    masks = (a.mask, b.mask, c.mask, d.mask)
-    if len(set(masks)) != 4:
-        return False
-    return masks[0] ^ masks[1] ^ masks[2] ^ masks[3] == 0
 
 
 def _find_quad_masks(masks: Sequence[int]) -> tuple[int, int, int, int] | None:

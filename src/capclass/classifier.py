@@ -76,6 +76,8 @@ class ClassTable:
 
     def max_size(self) -> int:
         nonempty = [size for size, entries in self.rows.items() if entries]
+        if not nonempty:
+            raise InvariantError(f"the dim-{self.dim} table holds no cap to take a maximum over")
         return max(nonempty)
 
 

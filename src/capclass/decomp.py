@@ -20,16 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .capset import Cap
-from .errors import (
-    BadIndexError,
-    ExchangeHypothesisViolated,
-    InvalidBasisError,
-    InvariantError,
-    TooLargeError,
-)
+from .errors import ExchangeHypothesisViolated, InvalidBasisError, InvariantError, TooLargeError
 from .gf2 import (
     Point,
     PointSet,
@@ -138,11 +132,6 @@ class BasisDecomposition:
     def basis_masks(self) -> tuple[int, ...]:
         return tuple(p.mask for p in self.basis)
 
-    def support(self, i: int) -> int:
-        if not 0 <= i < len(self.dependents):
-            raise BadIndexError(f"dependent index {i} out of range")
-        return self.dependents[i][1]
-
     def support_masks(self) -> tuple[int, ...]:
         return tuple(m for _, m in self.dependents)
 
@@ -180,17 +169,6 @@ def decompose(source: Cap | PointSet, basis: Sequence[Point] | None = None) -> B
             raise InvalidBasisError("basis does not span the set")
         deps.append((Point(m, pts.n), support))
     return BasisDecomposition(pts, chosen, tuple(deps))
-
-
-def support_intersection(dec: BasisDecomposition, indices: Iterable[int]) -> int:
-    """Bitwise AND of the supports selected by 0-based dependent indices."""
-    idx = list(indices)
-    if not idx:
-        raise BadIndexError("need at least one dependent index")
-    acc = (1 << len(dec.basis)) - 1
-    for i in idx:
-        acc &= dec.support(i)
-    return acc
 
 
 def extended_type(dec: BasisDecomposition) -> ExtendedType:

@@ -11,10 +11,6 @@ class EmptyInputError(CapError):
     """An operation that needs at least one point received none."""
 
 
-class NotInSpanError(CapError):
-    """The target point is not in the affine span of the given basis."""
-
-
 class DimensionMismatchError(CapError):
     """Points, sets, maps or caps of different ambient dimensions were combined."""
 
@@ -25,10 +21,6 @@ class NotACapError(CapError):
 
 class InvalidBasisError(CapError):
     """A basis argument is not an independent spanning subset of the set."""
-
-
-class BadIndexError(CapError):
-    """A dependent-point index is out of range."""
 
 
 class ExchangeHypothesisViolated(CapError):

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DimensionMismatchError, EmptyInputError, InvalidBasisError, NotInSpanError
+from .errors import DimensionMismatchError, EmptyInputError
 
 MAX_DIM = 16
 
@@ -78,13 +78,6 @@ class PointSet:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "masks", frozenset(srt))
         object.__setattr__(self, "_sorted", srt)
-
-    @classmethod
-    def from_points(cls, points: Iterable[Point]) -> PointSet:
-        pts = list(points)
-        if not pts:
-            raise EmptyInputError("cannot infer ambient dimension from an empty collection")
-        return cls(_require_same_n(pts), (p.mask for p in pts))
 
     def sorted_masks(self) -> tuple[int, ...]:
         return self._sorted
@@ -164,10 +157,6 @@ class AffineMap:
     def identity(cls, n: int) -> AffineMap:
         return cls(n, tuple(1 << i for i in range(n)), 0)
 
-    @classmethod
-    def translation_by(cls, p: Point) -> AffineMap:
-        return cls(p.n, tuple(1 << i for i in range(p.n)), p.mask)
-
     def apply_mask(self, x: int) -> int:
         y = self.translation
         for i, row in enumerate(self.rows):
@@ -229,25 +218,6 @@ def _columns_of(mask: int) -> list[int]:
     return cols
 
 
-def _require_same_n(points: Sequence[Point]) -> int:
-    n = points[0].n
-    for p in points[1:]:
-        if p.n != n:
-            raise DimensionMismatchError("points with mixed ambient dimensions")
-    return n
-
-
-def xor_sum(points: Sequence[Point]) -> Point:
-    """XOR of a non-empty list of points (an affine combination when the count is odd)."""
-    if not points:
-        raise EmptyInputError("xor_sum of no points")
-    n = _require_same_n(points)
-    acc = 0
-    for p in points:
-        acc ^= p.mask
-    return Point(acc, n)
-
-
 def _affine_elimination(masks: Sequence[int]) -> tuple[XorBasis, list[int]]:
     """Eliminate masks[i] ^ masks[0] for i >= 1 under marker bit i.
 
@@ -288,11 +258,6 @@ def affine_dim(s: PointSet) -> int:
     return _affine_rank(s.sorted_masks())
 
 
-def is_affinely_independent(s: PointSet) -> bool:
-    """True iff no point of s is an odd-count XOR of other points of s."""
-    return affine_dim(s) == len(s) - 1
-
-
 def extract_basis(s: PointSet) -> tuple[Point, ...]:
     """Deterministic affine basis: scan ascending masks, keep rank-increasing points."""
     masks = s.sorted_masks()
@@ -309,19 +274,6 @@ def _solve_support(xb: XorBasis, t: int, x: int) -> int | None:
     if marker.bit_count() & 1 == 0:
         marker |= 1
     return marker
-
-
-def coordinates(basis: Sequence[Point], x: Point) -> int:
-    """Subset mask over basis positions of the unique odd subset XORing to x."""
-    _require_same_n(list(basis) + [x])
-    basis_masks = [p.mask for p in basis]
-    xb, dependent = _affine_elimination(basis_masks)
-    if dependent:
-        raise InvalidBasisError("basis is affinely dependent")
-    support = _solve_support(xb, basis_masks[0], x.mask)
-    if support is None:
-        raise NotInSpanError(f"point {x.mask} is outside the span of the basis")
-    return support
 
 
 def apply_affine_map(t: AffineMap, s: PointSet) -> PointSet:

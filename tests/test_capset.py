@@ -10,12 +10,11 @@ from capclass.capset import (
     find_quad,
     is_cap,
     is_complete,
-    is_quad,
     quad_closure_1,
 )
 from capclass.classifier import classify
-from capclass.errors import DimensionMismatchError, EmptyInputError, NotACapError
-from capclass.gf2 import Point, PointSet, affine_span, apply_affine_map, random_invertible_affine
+from capclass.errors import EmptyInputError, NotACapError
+from capclass.gf2 import PointSet, affine_span, apply_affine_map, random_invertible_affine
 from capclass.templates import LABELS, instantiate
 
 from oracles import has_quad
@@ -35,21 +34,6 @@ def point_sets(draw, min_size=1, max_size=14, min_n=3, max_n=8):
         st.lists(st.integers(0, (1 << n) - 1), min_size=size, max_size=size, unique=True)
     )
     return PointSet(n, masks)
-
-
-class TestIsQuad:
-    def test_zero_sum_quad(self):
-        assert is_quad(Point(15, 4), Point(1, 4), Point(2, 4), Point(12, 4))
-
-    def test_nonzero_sum(self):
-        assert not is_quad(Point(0, 3), Point(1, 3), Point(2, 3), Point(4, 3))
-
-    def test_repeats_never_form_a_quad(self):
-        assert not is_quad(Point(1, 3), Point(1, 3), Point(2, 3), Point(2, 3))
-
-    def test_mixed_dimensions_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            is_quad(Point(1, 3), Point(1, 4), Point(2, 4), Point(2, 4))
 
 
 class TestIsCap:
@@ -89,7 +73,9 @@ class TestIsCap:
     def test_find_quad_reports_real_quad(self):
         quad = find_quad(pset(3, 0, 1, 2, 3, 4))
         assert quad is not None
-        assert is_quad(*quad)
+        masks = [p.mask for p in quad]
+        assert len(set(masks)) == 4
+        assert masks[0] ^ masks[1] ^ masks[2] ^ masks[3] == 0
         assert find_quad(pset(7, *FRAME7)) is None
 
 

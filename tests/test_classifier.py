@@ -28,6 +28,7 @@ from capclass.classifier import (
     tait_won_bounds,
     verify_paper,
 )
+from capclass.cli import run_command
 from capclass.decomp import ExtendedType
 from capclass.equivalence import are_equivalent, canonical_form
 from capclass.errors import InvariantError, TooLargeError
@@ -270,6 +271,13 @@ class TestClaims:
         with pytest.raises(InvariantError, match="no 9- to 12-cap"):
             check_exchange_contract(ClassTable(7, {}), trials=5)
         assert check_exchange_contract(ClassTable(7, {}), trials=0).passed
+
+    @pytest.mark.parametrize("rows", ({}, {9: ()}), ids=("no-rows", "empty-row"))
+    def test_size_bounds_claim_refuses_a_table_with_no_cap(self, capsys, rows):
+        with pytest.raises(InvariantError, match="holds no cap"):
+            ClassTable(7, rows).max_size()
+        assert run_command(lambda: check_size_bounds(ClassTable(7, rows), classify(6, 10))) == 1
+        assert capsys.readouterr().err == "error: internal check failed: the dim-7 table holds no cap to take a maximum over\n"
 
     def test_completeness_claim_fails_without_extension_witnesses(self, monkeypatch):
         table7 = classify(7, 13)  # classify itself reads extension_candidates

@@ -22,12 +22,10 @@ from capclass.decomp import (
     decompose,
     exchange_basis,
     extended_type,
-    support_intersection,
     type_census,
 )
 from capclass.equivalence import canonical_form
 from capclass.errors import (
-    BadIndexError,
     EmptyInputError,
     ExchangeHypothesisViolated,
     InvalidBasisError,
@@ -39,7 +37,6 @@ from capclass.gf2 import (
     PointSet,
     apply_affine_map,
     extract_basis,
-    is_affinely_independent,
     random_invertible_affine,
 )
 from capclass.templates import FRAME_MASKS, LABELS, generating_basis, higherdim_pair, instantiate
@@ -58,8 +55,9 @@ class TestDecompose:
         dec = decompose(instantiate("T10_55_2"))
         assert dec.basis_masks() == FRAME_MASKS
         assert [p.mask for p, _ in dec.dependents] == [15, 124]
-        assert [m.bit_count() for m in dec.support_masks()] == [5, 5]
-        assert support_intersection(dec, [0, 1]).bit_count() == 2
+        sups = dec.support_masks()
+        assert [m.bit_count() for m in sups] == [5, 5]
+        assert (sups[0] & sups[1]).bit_count() == 2
 
     def test_independent_set_has_no_dependents(self):
         dec = decompose(Cap(PointSet(7, FRAME_MASKS)))
@@ -125,22 +123,13 @@ class TestSupportIntersection:
     def test_worked_pair(self):
         # x1 = a1+..+a5, x2 = a3+..+a7 share {a3, a4, a5}
         dec = decompose(instantiate("T10_55_3"), generating_basis("T10_55_3"))
-        assert support_intersection(dec, [0, 1]) == 0b00011100
-
-    def test_single_index_is_the_support(self):
-        dec = decompose(instantiate("T10_55_3"), generating_basis("T10_55_3"))
-        assert support_intersection(dec, [1]) == dec.support(1)
+        sups = dec.support_masks()
+        assert sups[0] & sups[1] == 0b00011100
 
     def test_triple_intersection_for_332(self):
         dec = decompose(instantiate("T11_555_332"), generating_basis("T11_555_332"))
-        assert support_intersection(dec, [0, 1, 2]).bit_count() == 1
-
-    def test_bad_index(self):
-        dec = decompose(instantiate("T10_55_3"))
-        with pytest.raises(BadIndexError):
-            support_intersection(dec, [5])
-        with pytest.raises(BadIndexError):
-            support_intersection(dec, [])
+        sups = dec.support_masks()
+        assert (sups[0] & sups[1] & sups[2]).bit_count() == 1
 
 
 class TestExtendedType:
@@ -310,8 +299,8 @@ def scan_oracle(cap):
     masks = cap.sorted_masks()
     out = []
     for subset in combinations(range(len(masks)), cap.dim + 1):
-        basis = [Point(masks[i], cap.n) for i in subset]
-        if is_affinely_independent(PointSet.from_points(basis)):
+        if rank_oracle([masks[i] for i in subset]) == cap.dim:
+            basis = [Point(masks[i], cap.n) for i in subset]
             out.append((subset, decompose(cap, basis).support_masks()))
     return tuple(out)
 

@@ -21,7 +21,7 @@ from capclass.equivalence import (
     verify_map,
 )
 from capclass.errors import DimensionMismatchError, InvariantError, TooLargeError
-from capclass.gf2 import AffineMap, Point, PointSet, apply_affine_map, random_invertible_affine
+from capclass.gf2 import AffineMap, PointSet, apply_affine_map, random_invertible_affine
 from capclass.classifier import classify
 from capclass.decomp import ExtendedType, _every_basis, type_census
 from capclass.templates import LABELS, higherdim_pair, instantiate
@@ -159,7 +159,7 @@ class TestVerifyMap:
 
     def test_translation(self):
         cap = instantiate("R7")
-        shift = AffineMap.translation_by(Point(33, 7))
+        shift = AffineMap(7, AffineMap.identity(7).rows, 33)
         shifted = Cap(apply_affine_map(shift, cap.points))
         assert verify_map(shift, cap, shifted)
 

@@ -1,15 +1,13 @@
 import random
+from functools import reduce
+from operator import xor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capclass.errors import (
-    DimensionMismatchError,
-    EmptyInputError,
-    InvalidBasisError,
-    NotInSpanError,
-)
+from capclass.decomp import decompose
+from capclass.errors import DimensionMismatchError, EmptyInputError
 from capclass.gf2 import (
     AffineMap,
     Point,
@@ -19,21 +17,14 @@ from capclass.gf2 import (
     affine_dim,
     affine_span,
     apply_affine_map,
-    coordinates,
     extract_basis,
-    is_affinely_independent,
     random_invertible_affine,
-    xor_sum,
 )
 
 from oracles import _transpose as transpose_oracle
 from oracles import greedy_basis_oracle, odd_subset_coordinates, odd_sum_closure, rank_oracle
 
 FRAME7 = (0, 1, 2, 4, 8, 16, 32, 64)
-
-
-def pts(n, *masks):
-    return [Point(m, n) for m in masks]
 
 
 def pset(n, *masks):
@@ -48,25 +39,6 @@ def point_sets(draw, min_size=1, max_size=10, max_n=8):
         st.lists(st.integers(0, (1 << n) - 1), min_size=size, max_size=size, unique=True)
     )
     return PointSet(n, masks)
-
-
-class TestXorSum:
-    def test_disjoint_unit_vectors(self):
-        assert xor_sum(pts(4, 1, 2, 4)).mask == 7
-
-    def test_self_inverse(self):
-        assert xor_sum(pts(4, 15, 15)).mask == 0
-
-    def test_five_terms(self):
-        assert xor_sum(pts(4, 0, 1, 2, 4, 8)).mask == 15
-
-    def test_mixed_dimension_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            xor_sum([Point(1, 3), Point(1, 4)])
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyInputError):
-            xor_sum([])
 
 
 class TestAffineSpan:
@@ -112,17 +84,6 @@ class TestAffineDim:
         assert affine_dim(s) == rank_oracle(list(s.sorted_masks()))
 
 
-class TestIndependence:
-    def test_independent_quadruple(self):
-        assert is_affinely_independent(pset(3, 0, 1, 2, 4))
-
-    def test_plane_is_dependent(self):
-        assert not is_affinely_independent(pset(3, 0, 1, 2, 3))
-
-    def test_frame_plus_dependent_point(self):
-        assert not is_affinely_independent(pset(7, *FRAME7, 15))
-
-
 class TestExtractBasis:
     def test_greedy_drops_the_sum(self):
         assert [p.mask for p in extract_basis(pset(3, 0, 1, 2, 3))] == [0, 1, 2]
@@ -138,39 +99,23 @@ class TestExtractBasis:
     def test_matches_greedy_oracle(self, s):
         got = [p.mask for p in extract_basis(s)]
         assert got == greedy_basis_oracle(list(s.sorted_masks()))
-        assert is_affinely_independent(PointSet(s.n, got))
+        assert rank_oracle(got) == len(got) - 1
         assert affine_span(PointSet(s.n, got)) == affine_span(s)
 
 
 class TestCoordinates:
+    """Each dependent's support, as decompose writes it, is its one odd subset of the basis."""
+
     def test_exhaustive_oracle_agrees_on_frame(self):
-        basis = pts(7, *FRAME7)
         hits = odd_subset_coordinates(list(FRAME7), 15)
         assert hits == [0b00011111]
-        assert coordinates(basis, Point(15, 7)) == 0b00011111
-
-    def test_basis_element(self):
-        assert coordinates(pts(7, *FRAME7), Point(1, 7)) == 0b10
-
-    def test_full_triple(self):
-        assert coordinates(pts(2, 0, 1, 2), Point(3, 2)) == 0b111
-
-    def test_not_in_span(self):
-        with pytest.raises(NotInSpanError):
-            coordinates(pts(3, 0, 1), Point(4, 3))
-
-    def test_dependent_basis_rejected(self):
-        with pytest.raises(InvalidBasisError):
-            coordinates(pts(3, 0, 1, 2, 3), Point(1, 3))
+        assert decompose(pset(7, *FRAME7, 15)).support_masks() == (0b00011111,)
 
     @given(point_sets(min_size=2, max_size=9))
-    def test_round_trip(self, s):
-        basis = extract_basis(s)
-        for x in s:
-            mask = coordinates(basis, x)
-            assert mask.bit_count() % 2 == 1
-            chosen = [basis[i] for i in range(len(basis)) if mask >> i & 1]
-            assert xor_sum(chosen) == x
+    def test_supports_match_odd_subset_oracle(self, s):
+        dec = decompose(s)
+        for p, sup in dec.dependents:
+            assert odd_subset_coordinates(list(dec.basis_masks()), p.mask) == [sup]
 
 
 class TestAffineMap:
@@ -179,7 +124,7 @@ class TestAffineMap:
         assert apply_affine_map(AffineMap.identity(4), s) == s
 
     def test_translation_swaps(self):
-        t = AffineMap.translation_by(Point(1, 3))
+        t = AffineMap(3, AffineMap.identity(3).rows, 1)
         assert apply_affine_map(t, pset(3, 0, 1)) == pset(3, 0, 1)
 
     def test_dimension_mismatch(self):
@@ -224,7 +169,7 @@ class TestAffineMap:
         points = list(s)[:5]
         if len(points) % 2 == 0:
             points = points[:-1]
-        assert t(xor_sum(points)) == xor_sum([t(p) for p in points])
+        assert t(reduce(xor, points)) == reduce(xor, [t(p) for p in points])
 
 
 def seeded_map(n, seed, invertible):
@@ -340,7 +285,7 @@ def test_odd_sums_stay_in_span(s):
     points = list(s)
     if len(points) % 2 == 0:
         points = points[:-1]
-    assert xor_sum(points) in affine_span(s)
+    assert reduce(xor, points) in affine_span(s)
 
 
 @given(st.lists(st.integers(0, (1 << 14) - 1), max_size=12), st.integers(0, 12))
