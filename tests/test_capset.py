@@ -14,7 +14,7 @@ from capclass.capset import (
 )
 from capclass.classifier import classify
 from capclass.errors import EmptyInputError, NotACapError
-from capclass.gf2 import PointSet, affine_span, apply_affine_map, random_invertible_affine
+from capclass.gf2 import Point, PointSet, affine_span, apply_affine_map, random_invertible_affine
 from capclass.templates import LABELS, instantiate
 
 from oracles import has_quad
@@ -34,6 +34,34 @@ def point_sets(draw, min_size=1, max_size=14, min_n=3, max_n=8):
         st.lists(st.integers(0, (1 << n) - 1), min_size=size, max_size=size, unique=True)
     )
     return PointSet(n, masks)
+
+
+class TestIsQuad:
+    """Four distinct points XORing to zero, as find_quad and is_cap see them."""
+
+    def test_zero_sum_quad(self):
+        s = pset(4, 15, 1, 2, 12)
+        quad = find_quad(s)
+        assert quad is not None and {p.mask for p in quad} == {15, 1, 2, 12}
+        assert not is_cap(s)
+
+    def test_nonzero_sum(self):
+        s = pset(3, 0, 1, 2, 4)
+        assert find_quad(s) is None
+        assert is_cap(s)
+
+    def test_repeats_never_form_a_quad(self):
+        # 1 ^ 1 ^ 2 ^ 2 == 0, but a point set keeps each point once
+        s = PointSet(3, (1, 1, 2, 2))
+        assert len(s) == 2
+        assert find_quad(s) is None
+        assert is_cap(s)
+
+    def test_mixed_dimensions_rejected(self):
+        # a point set holds one dimension, so no quad can mix two
+        with pytest.raises(ValueError, match="out of range for n=3"):
+            PointSet(3, (1, 2, 4, 8))
+        assert Point(1, 4) not in pset(3, 1, 2, 4)
 
 
 class TestIsCap:

@@ -126,6 +126,11 @@ class TestSupportIntersection:
         sups = dec.support_masks()
         assert sups[0] & sups[1] == 0b00011100
 
+    def test_single_index_is_the_support(self):
+        # one support alone is its own intersection: x2 = a3+..+a7
+        dec = decompose(instantiate("T10_55_3"), generating_basis("T10_55_3"))
+        assert dec.support_masks()[1] == 0b01111100
+
     def test_triple_intersection_for_332(self):
         dec = decompose(instantiate("T11_555_332"), generating_basis("T11_555_332"))
         sups = dec.support_masks()

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capclass.decomp import decompose
-from capclass.errors import DimensionMismatchError, EmptyInputError
+from capclass.errors import DimensionMismatchError, EmptyInputError, InvalidBasisError
 from capclass.gf2 import (
     AffineMap,
     Point,
@@ -27,6 +27,10 @@ from oracles import greedy_basis_oracle, odd_subset_coordinates, odd_sum_closure
 FRAME7 = (0, 1, 2, 4, 8, 16, 32, 64)
 
 
+def pts(n, *masks):
+    return [Point(m, n) for m in masks]
+
+
 def pset(n, *masks):
     return PointSet(n, masks)
 
@@ -39,6 +43,23 @@ def point_sets(draw, min_size=1, max_size=10, max_n=8):
         st.lists(st.integers(0, (1 << n) - 1), min_size=size, max_size=size, unique=True)
     )
     return PointSet(n, masks)
+
+
+class TestXorSum:
+    """Sums of points by Point.__xor__, folded with functools.reduce."""
+
+    def test_disjoint_unit_vectors(self):
+        assert reduce(xor, pts(4, 1, 2, 4)).mask == 7
+
+    def test_self_inverse(self):
+        assert reduce(xor, pts(4, 15, 15)) == Point(0, 4)
+
+    def test_five_terms(self):
+        assert reduce(xor, pts(4, 0, 1, 2, 4, 8)).mask == 15
+
+    def test_mixed_dimension_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            reduce(xor, pts(4, 1, 2) + [Point(1, 3)])
 
 
 class TestAffineSpan:
@@ -84,6 +105,23 @@ class TestAffineDim:
         assert affine_dim(s) == rank_oracle(list(s.sorted_masks()))
 
 
+class TestIndependence:
+    """A set is affinely independent exactly when affine_dim(s) == len(s) - 1."""
+
+    def test_independent_quadruple(self):
+        s = pset(3, 0, 1, 2, 4)
+        assert affine_dim(s) == len(s) - 1
+        assert len(extract_basis(s)) == len(s)
+
+    def test_plane_is_dependent(self):
+        s = pset(3, 0, 1, 2, 3)
+        assert affine_dim(s) < len(s) - 1
+
+    def test_frame_plus_dependent_point(self):
+        s = pset(7, *FRAME7, 15)
+        assert affine_dim(s) == 7 < len(s) - 1
+
+
 class TestExtractBasis:
     def test_greedy_drops_the_sum(self):
         assert [p.mask for p in extract_basis(pset(3, 0, 1, 2, 3))] == [0, 1, 2]
@@ -110,6 +148,14 @@ class TestCoordinates:
         hits = odd_subset_coordinates(list(FRAME7), 15)
         assert hits == [0b00011111]
         assert decompose(pset(7, *FRAME7, 15)).support_masks() == (0b00011111,)
+
+    def test_not_in_span(self):
+        with pytest.raises(InvalidBasisError, match="does not span"):
+            decompose(pset(3, 0, 1, 4), pts(3, 0, 1))
+
+    def test_dependent_basis_rejected(self):
+        with pytest.raises(InvalidBasisError, match="affinely dependent"):
+            decompose(pset(3, 0, 1, 2, 3), pts(3, 0, 1, 2, 3))
 
     @given(point_sets(min_size=2, max_size=9))
     def test_supports_match_odd_subset_oracle(self, s):
