@@ -7,12 +7,18 @@ The multiset of support sizes together with all pairwise intersection
 sizes is the basis's extended type.
 
 The bases inside a point set are enumerated through their complements,
-which are the bases of the dual matroid.  Points with equal dual
-columns are in series, and bases that leave out the same set of
-dual-column values share their supports up to a permutation of rows
-and columns.  So the cached scan that canonical forms and the type
-census read keeps one basis per such class; the laws stated of every
-basis read the full enumeration.
+which are the bases of the dual matroid.  Each point has a dual column,
+an r-bit value, and a complement is a cobasis exactly when its r values
+are independent, so one depth-first search over the values
+(_independent_sets) serves every reader.  Points with equal values are
+in series, and bases that leave out the same set of values share their
+supports up to a permutation of rows and columns: one class.  Canonical
+forms and the type census read one label-free key per class
+(_value_classes), memoised once, and build supports only for the
+winning basis; the laws stated of every basis read the full
+enumeration (_every_basis).  The key has 2^r entries, and r is at most
+5 under the 14-point limit of canonical forms; ROADMAP item 7 (r up to
+10) must revisit its encoding.
 """
 
 from __future__ import annotations
@@ -36,6 +42,8 @@ from .gf2 import (
 # raw (sizes, pairs) -> canonical order; cleared whenever it reaches the limit
 _TYPE_CACHE: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 _TYPE_CACHE_LIMIT = 100_000
+# class key (see _value_classes) -> ExtendedType; cleared at the same limit
+_CLASS_TYPE_CACHE: dict[tuple[int, ...], ExtendedType] = {}
 
 
 def _cache_put(cache: dict, key: object, value: object, limit: int) -> None:
@@ -222,119 +230,154 @@ def exchange_basis(dec: BasisDecomposition, a: Point, x: Point) -> BasisDecompos
 _DESK_LIMIT = 13
 
 
-def _scan_from(
-    rows: list[int],
-    depth: int,
-    start: int,
-    k: int,
-    allowed: int,
-    basis: list[int],
-    out: list[tuple[tuple[int, ...], tuple[int, ...]]],
-) -> None:
-    """Append every basis whose complement extends the chosen one by indices >= start.
-
-    ``rows`` are the r dual rows after ``depth`` complement points have
-    been chosen, pivoted on and deleted: rows[t] for t < depth belongs to
-    the t-th chosen point, ``basis`` lists the k-point set's indices below
-    ``start`` outside the complement (bit i = basis[i]), and index c >=
-    start sits at bit c - depth.  Only indices set in ``allowed`` join the
-    complement.  Once all r points are chosen, rows[t] is the support of
-    the t-th one over the basis positions.
-    """
-    r = len(rows)
-    last = depth == r - 1
-    mark = len(basis)
-    for c in range(start, k - r + depth + 1):
-        if not allowed >> c & 1:
-            basis.append(c)
-            continue
-        bit = 1 << (c - depth)
-        for piv in range(depth, r):
-            if rows[piv] & bit:
-                break
-        else:
-            # column c depends on the complement chosen so far
-            basis.append(c)
-            continue
-        # eliminate column c from the other rows, then delete it; deletion
-        # is linear, so a row holding c can add the pivot row already
-        # deleted.  The pivot row cancels itself and is put back at depth.
-        low, high = bit - 1, -bit
-        pr = rows[piv] & low | rows[piv] >> 1 & high
-        reduced = [(x & low | x >> 1 & high) ^ (pr if x & bit else 0) for x in rows]
-        reduced[piv] = reduced[depth]
-        reduced[depth] = pr
-        if last:
-            out.append((tuple(basis) + tuple(range(c + 1, k)), tuple(reduced)))
-        else:
-            _scan_from(reduced, depth + 1, c + 1, k, allowed, basis, out)
-        basis.append(c)
-    del basis[mark:]
-
-
-def _scan(masks: tuple[int, ...], bc: int, one_per_class: bool) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """(subset indices, dependent supports) for the basis subsets, in
-    ascending index order of the subsets.
+def _complements(
+    masks: tuple[int, ...], bc: int, one_per_class: bool
+) -> tuple[tuple[int, ...], list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """(dual value of each point, _independent_sets over them): every
+    complement of a bc-point basis with its key, none when there is none.
 
     A bc-subset is a basis exactly when its complement is a basis of the
-    dual matroid, whose rows are the dependents' supports over the greedy
-    basis plus the dependent itself (over GF(2), [I | A] has dual
-    [A^T | I]).  The r dual rows come from one elimination against the
-    first point, marked by point index.  The scan chooses complements in
-    ascending index order and Gauss-Jordan-eliminates the rows on each
-    chosen column; at a complete complement the rows are the supports
-    over the remaining points, with bit i = subset position i and
-    dependents in ascending mask order (masks is expected sorted).  With
-    ``one_per_class`` only the last index of each nonzero dual column may
-    leave the basis (see _basis_scan).
+    dual matroid, whose r rows are the dependents' supports over the
+    greedy basis plus the dependent itself (over GF(2), [I | A] has dual
+    [A^T | I]).  The rows come from one elimination against the first
+    point, marked by point index; point c's dual value is bit c of the
+    rows, an r-bit value, and points of value 0 are in every basis.  With
+    ``one_per_class`` only the last index of each value may leave the
+    basis (see _value_classes).
     """
     k = len(masks)
     if bc > k:
-        return ()
+        return (), []
     # the points whose insert fails are the dependents of the greedy
     # basis; each row is a dependent's support over it plus the point itself
     xb, dependent = _affine_elimination(masks)
     rows = [_solve_support(xb, masks[0], masks[i]) | 1 << i for i in dependent]
     rank = k - len(rows)
     if rank < bc:
-        return ()
+        return (), []
     if rank > bc:
         raise InvariantError(f"{bc} points cannot span a set of affine rank {rank - 1}")
-    if not rows:
-        return ((tuple(range(k)), ()),)
-    allowed = -1
+    values = _transpose(rows, k)
+    candidates = [c for c, v in enumerate(values) if v]
     if one_per_class:
-        last = {value: c for c, value in enumerate(_transpose(rows, k)) if value}
-        allowed = sum(1 << c for c in last.values())
+        candidates = sorted({values[c]: c for c in candidates}.values())
+    return values, _independent_sets(values, candidates, len(rows))
+
+
+def _independent_sets(
+    values: tuple[int, ...], candidates: Sequence[int], r: int
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(key, subset) for every r-subset of ``candidates`` (point indices,
+    ascending) whose dual values are independent, in ascending
+    lexicographic order of the subsets.  These subsets are the
+    complements of the bases.  The key is ``count[span[w]]`` for w < 2^r,
+    where ``span[w]`` is the XOR of the subset's values picked by the
+    bits of w and ``count[v]`` the number of points whose value is v.
+
+    The search adds one point at a time and keeps the span of the values
+    chosen so far, doubled on each step; a point whose value lies in the
+    span would make the complement dependent."""
+    count = [0] * (1 << r)
+    for v in values:
+        count[v] += 1
+    if not r:
+        return [((count[0],), ())]
+    # count[x ^ v] by x, for each candidate value v: the key's upper half
+    shifted = {values[c]: [count[x ^ values[c]] for x in range(1 << r)] for c in candidates}
     out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    _scan_from(rows, 0, 0, k, allowed, [], out)
-    # complements in ascending order are bases in descending order
-    out.reverse()
-    return tuple(out)
+
+    def extend(start: int, chosen: tuple[int, ...], span: list[int]) -> None:
+        stop = len(candidates) - r + len(chosen) + 1
+        if len(chosen) == r - 1:
+            head = tuple(map(count.__getitem__, span))
+            for pos in range(start, stop):
+                c = candidates[pos]
+                if values[c] not in span:
+                    out.append((head + tuple(map(shifted[values[c]].__getitem__, span)), chosen + (c,)))
+            return
+        for pos in range(start, stop):
+            c = candidates[pos]
+            v = values[c]
+            if v not in span:
+                extend(pos + 1, chosen + (c,), span + [x ^ v for x in span])
+
+    extend(0, (), [0])
+    return out
+
+
+def _class_basis(values: tuple[int, ...], complement: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(subset indices, dependent supports) of the basis left by one complement.
+
+    The dependent left out t-th (ascending index) holds a basis point
+    exactly when bit t of the point's coordinates, its dual value written
+    over the complement's values, is set: the supports are the rows of
+    V^-1 U, for V the complement's value columns and U the basis's.  Bit
+    i of a support is subset position i."""
+    span = [0]
+    for c in complement:
+        v = values[c]
+        span += [x ^ v for x in span]
+    coords = {v: w for w, v in enumerate(span)}
+    subset = list(range(len(values)))
+    for c in reversed(complement):
+        del subset[c]
+    return tuple(subset), _transpose([coords[values[i]] for i in subset], len(complement))
+
+
+def _key_supports(key: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """Supports and column count of a basis of any class with this key,
+    up to a permutation of columns.
+
+    A class's key counts, for each w < 2^r, the points whose dual value
+    is the w-th entry of its span table.  A basis point whose value sits
+    at w is a column with signature w (the dependents that hold it), and
+    the point left out t-th is counted at w = 2^t but is no column."""
+    r = len(key).bit_length() - 1
+    sigs = [w for w, n in enumerate(key) for _ in range(n - (w > 0 and not w & (w - 1)))]
+    return _transpose(sigs, r), len(sigs)
+
+
+def _scan(masks: tuple[int, ...], bc: int, one_per_class: bool) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(subset indices, dependent supports) for the basis subsets, in
+    ascending index order of the subsets: complements in ascending order
+    are bases in descending order."""
+    values, found = _complements(masks, bc, one_per_class)
+    return tuple(_class_basis(values, complement) for _, complement in reversed(found))
 
 
 @lru_cache(maxsize=1)
-def _basis_scan(masks: tuple[int, ...], bc: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """(subset indices, dependent supports) for one basis per dual-column
-    class, cached for the last point set only: the reuse that occurs is a
-    census reading the scan its cap's canonical form made just before.
+def _value_classes(
+    masks: tuple[int, ...], bc: int
+) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]]:
+    """(dual values, (key, complement) per distinct key) of a point set,
+    cached for the last point set only: canonical_form and type_census on
+    one cap share it.
 
-    Point c's dual column is bit c of the r dual rows.  Points with equal
-    nonzero dual columns are in series (parallel in the dual matroid;
-    Oxley, *Matroid Theory*, 2.1), so a complement holds at most one of
-    them.  Two complements holding the same set of dual-column values
-    have the same r x r column block up to a column permutation, so
-    eliminating on either leaves supports that differ only by a
-    permutation of rows and of columns: the same least masks and the same
-    ExtendedType.  Such complements form one class.  The scan lets only
-    the last index of each value leave the basis.  That complement is the
-    lexicographically greatest of its class, and complements come out in
-    descending order, so each kept basis is the first of its class in
-    _every_basis's order, and the result is the subsequence of
-    _every_basis made of those bases, with the same (subset, supports).
-    A caller that keeps the first basis reaching a minimum over classes
-    therefore keeps the same basis as over every basis.
-    """
+    Points with equal nonzero dual values are in series (parallel in the
+    dual matroid; Oxley, *Matroid Theory*, 2.1), so a complement holds at
+    most one of them, and the complements holding one set of values form
+    a class whose bases share their supports up to a permutation of rows
+    and columns.  A class is an independent r-set of the distinct values,
+    its complement taken as the last index of each.  Its key,
+    ``count[span[w]]`` for w < 2^r, fixes its supports up to a column
+    permutation (_key_supports), so it fixes the least masks and the
+    ExtendedType; the key is free of point labels and has 2^r entries.
+    Complements come in ascending order, so each key keeps the greatest
+    of its classes: the first basis in _basis_scan's order among them."""
+    values, found = _complements(masks, bc, True)
+    return values, tuple(dict(found).items())
+
+
+# called only by the tests; perfbench/tracing.py wraps it by name until ROADMAP item 2 lands
+@lru_cache(maxsize=1)
+def _basis_scan(masks: tuple[int, ...], bc: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(subset indices, dependent supports) for one basis per class of
+    _value_classes, every class kept.  A class's complement, the last
+    index of each of its values, is the lexicographically greatest of the
+    class, and complements come out in descending order, so each kept
+    basis is the first of its class in _every_basis's order, and the
+    result is the subsequence of _every_basis made of those bases, with
+    the same (subset, supports)."""
     return _scan(masks, bc, True)
 
 
@@ -344,15 +387,22 @@ def _every_basis(masks: tuple[int, ...], bc: int) -> tuple[tuple[tuple[int, ...]
     return _scan(masks, bc, False)
 
 
+def _class_type(key: tuple[int, ...]) -> ExtendedType:
+    """ExtendedType of the bases of a class, memoised on its key."""
+    hit = _CLASS_TYPE_CACHE.get(key)
+    if hit is None:
+        hit = ExtendedType.from_supports(_key_supports(key)[0])
+        _cache_put(_CLASS_TYPE_CACHE, key, hit, _TYPE_CACHE_LIMIT)
+    return hit
+
+
 def type_census(c: Cap) -> frozenset[ExtendedType]:
     """Extended types of the bases contained in the cap.
 
-    One basis per dual-column class is read (_basis_scan): the bases of a
-    class share their supports up to a permutation of rows and columns,
-    so they share one ExtendedType, and the set equals the set over every
-    basis."""
+    One type per key of _value_classes is read: the bases of a class
+    share their supports up to a permutation of rows and columns, so they
+    share one ExtendedType, and the set equals the set over every basis."""
     if c.size > _DESK_LIMIT:
         raise TooLargeError(f"type census is limited to {_DESK_LIMIT} points, got {c.size}")
-    raw = {_raw_type(sups) for _, sups in _basis_scan(c.sorted_masks(), c.dim + 1)}
-    # ExtendedType canonicalises each raw type; the frozenset merges equal ones
-    return frozenset(ExtendedType(s, p) for s, p in raw)
+    _, classes = _value_classes(c.sorted_masks(), c.dim + 1)
+    return frozenset([_class_type(key) for key, _ in classes])

@@ -7,25 +7,27 @@ cap-internal bases and preserve supports, so equal forms characterise
 affine equivalence (two caps whose dependents fit a common template
 are equivalent, and the form is the minimal such template).
 
-The minimisation runs in two levels: enumerate basis subsets, one per
-class of bases whose supports agree up to a permutation of rows and
-columns (decomp._basis_scan; such bases share their least masks, and
-the scan keeps the first basis of each class, so the first basis
-reaching the form is the same as over every basis), then
-find the least sorted support masks of each subset over all column
-orders by refining an ordered partition of the columns one support at a
-time, in the manner of canonical labelling (McKay & Piperno 2014), over
-the r supports rather than over the columns.  A basis's least masks do
-not depend on its column labels, so they are memoised twice: on the raw
-supports, and on a key free of column labels with the rows in scan
-order, the sorted signatures of the columns (the set of supports that
-hold each column); the refinement runs once per such key.  A key free of
-row labels too would be the least masks themselves.  As canonical
-labelling separates comparing certificates from building the labelling,
-only the winning basis is ordered: the refinement runs once more on its
-supports and returns the lexicographically least optimal order in the
-basis's own column labels, and a basis with two supports takes a closed
-form instead.
+The minimisation runs over classes of bases, not over bases:
+decomp._value_classes searches the cap's dual-column values and gives
+each class of bases whose supports agree up to a permutation of rows and
+columns one key, free of point and column labels, that fixes those
+supports up to a column permutation.  The least masks of a class are
+memoised once, on its key; a miss builds the supports the key fixes and
+finds their least sorted masks over all column orders by refining an
+ordered partition of the columns one support at a time, in the manner
+of canonical labelling (McKay & Piperno 2014), over the r supports
+rather than over the columns.  The key keeps the rows in the order of
+the class's complement, so row permutations of one structure are
+separate keys; a key free of row labels too would be the least masks
+themselves.  As canonical labelling separates comparing certificates
+from building the labelling, only the winning class is materialised:
+the first basis in decomp._basis_scan's order to reach the form, which
+is the class reaching it with the lexicographically greatest
+complement.  The refinement then runs once more on its supports and
+returns the lexicographically least optimal order in the basis's own
+column labels, and a basis with two supports takes a closed form
+instead.  The key has 2^r entries, and r is at most 5 under
+_SIZE_LIMIT; ROADMAP item 7 (r up to 10) must revisit its encoding.
 """
 
 from __future__ import annotations
@@ -33,21 +35,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .capset import Cap
-from .decomp import _basis_scan, _cache_put
+from .decomp import _cache_put, _class_basis, _key_supports, _value_classes
 from .errors import DimensionMismatchError, InvariantError, TooLargeError
 from .gf2 import AffineMap, XorBasis, _columns_of, _transpose
 
 _SIZE_LIMIT = 14
 
-# Two memo levels of per-basis least masks.  Affine images of one cap
-# present the same supports under permuted column labels, so raw keys
-# (exact supports) recur within a run, while the norm key (support count
-# and sorted column signatures, free of column labels with the rows in
-# scan order) collapses every column relabeling of one structure.  Both
-# are cleared whenever they reach _RAW_CACHE_LIMIT.
-_RAW_FORM_CACHE: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
-_NORM_FORM_CACHE: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
+# Least masks per class key (decomp._value_classes), cleared whenever it
+# reaches _RAW_CACHE_LIMIT.  The key is free of point and column labels,
+# so every affine image of one cap meets the same keys.
+_NORM_FORM_CACHE: dict[tuple[int, ...], tuple[int, ...]] = {}
 _RAW_CACHE_LIMIT = 400_000
+# never filled: bound only because perfbench/tracing.py reads it by name, until ROADMAP item 2 lands
+_RAW_FORM_CACHE: dict = {}
 
 # a cap's least per-basis masks, with the subset and supports of the first basis reaching them
 _Least = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
@@ -131,28 +131,6 @@ def _min_column_form(
     return tuple(masks), tuple(order + _columns_of(((1 << ncols) - 1) & ~held))
 
 
-def _basis_masks(sups: tuple[int, ...], ncols: int) -> tuple[int, ...]:
-    """Least sorted support masks of one basis over all column orders.
-
-    Every basis takes the same path: the raw memo, the norm memo
-    (supports with the same multiset of column signatures differ only by a
-    column permutation), then _min_column_form on the supports as given.
-    The signatures name supports by their scan position, so the norm key
-    is free of column labels but not of row order: a key free of both
-    would be the least masks themselves."""
-    raw_key = (ncols, tuple(sorted(sups)))
-    masks = _RAW_FORM_CACHE.get(raw_key)
-    if masks is None:
-        # the support count keeps the key exact when a support is empty
-        norm_key = (len(sups), tuple(sorted(_transpose(sups, ncols))))
-        masks = _NORM_FORM_CACHE.get(norm_key)
-        if masks is None:
-            masks = _min_column_form(sups, ncols)[0]
-            _cache_put(_NORM_FORM_CACHE, norm_key, masks, _RAW_CACHE_LIMIT)
-        _cache_put(_RAW_FORM_CACHE, raw_key, masks, _RAW_CACHE_LIMIT)
-    return masks
-
-
 def _column_order(sups: tuple[int, ...], ncols: int) -> tuple[int, ...]:
     """A column order under which one basis's supports pack to its least
     masks; uncached, it runs once per ordered basis.  Ties go to the
@@ -166,20 +144,32 @@ def _column_order(sups: tuple[int, ...], ncols: int) -> tuple[int, ...]:
     return _min_column_form(sups, ncols)[1]
 
 
+def _class_masks(key: tuple[int, ...]) -> tuple[int, ...]:
+    """Least sorted support masks of the bases of one class, memoised on
+    its key: the refinement runs once per key, on the supports the key
+    fixes (decomp._key_supports)."""
+    masks = _NORM_FORM_CACHE.get(key)
+    if masks is None:
+        masks = _min_column_form(*_key_supports(key))[0]
+        _cache_put(_NORM_FORM_CACHE, key, masks, _RAW_CACHE_LIMIT)
+    return masks
+
+
 def _least_basis(c: Cap) -> _Least:
     """Least per-basis masks of c, with the subset and supports of the
-    first basis in scan order that reaches them."""
+    first basis in _basis_scan order that reaches them: among the classes
+    reaching them, the one whose complement is lexicographically greatest."""
     if c.size > _SIZE_LIMIT:
         raise TooLargeError(f"canonical form is limited to {_SIZE_LIMIT} points, got {c.size}")
-    bc = c.dim + 1
-    best: _Least | None = None
-    for subset, sups in _basis_scan(c.sorted_masks(), bc):
-        masks = _basis_masks(sups, bc)
-        if best is None or masks < best[0]:
-            best = (masks, subset, sups)
+    values, classes = _value_classes(c.sorted_masks(), c.dim + 1)
+    best: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+    for key, complement in classes:
+        masks = _class_masks(key)
+        if best is None or masks < best[0] or masks == best[0] and complement > best[1]:
+            best = (masks, complement)
     if best is None:
         raise InvariantError(f"a {c.size}-point cap of dimension {c.dim} has no internal basis")
-    return best
+    return (best[0], *_class_basis(values, best[1]))
 
 
 def _ordered_basis(c: Cap, least: _Least) -> tuple[int, ...]:

@@ -5,7 +5,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from capclass.errors import InvariantError
-from capclass.gf2 import AffineMap, XorBasis
+from capclass.decomp import decompose
+from capclass.gf2 import AffineMap, Point, XorBasis
 
 
 def odd_sum_closure(masks: set[int]) -> set[int]:
@@ -381,3 +382,37 @@ def map_from_bases_oracle(basis1: tuple[int, ...], basis2: tuple[int, ...], n: i
     except ValueError as exc:
         raise InvariantError("completed source basis is singular") from exc
     return AffineMap(n, linear.rows, t2 ^ linear.apply_mask(t1))
+
+
+def scan_oracle(cap):
+    """Every basis subset in ascending index order, with the supports decompose gives it."""
+    masks = cap.sorted_masks()
+    out = []
+    for subset in combinations(range(len(masks)), cap.dim + 1):
+        if rank_oracle([masks[i] for i in subset]) == cap.dim:
+            basis = [Point(masks[i], cap.n) for i in subset]
+            out.append((subset, decompose(cap, basis).support_masks()))
+    return tuple(out)
+
+
+def last_in_series_oracle(cap):
+    """Indices of the points that no later point is in series with, by
+    rank alone: points i and j that each leave the rank whole when deleted
+    are in series when deleting both lowers it ({i, j} is a cocircuit)."""
+    masks = cap.sorted_masks()
+    rank = rank_oracle(list(masks))
+
+    def without(*drop):
+        return rank_oracle([m for i, m in enumerate(masks) if i not in drop])
+
+    free = [without(j) == rank for j in range(len(masks))]
+    return {
+        i for i in range(len(masks)) if not any(free[j] and without(i, j) < rank for j in range(i + 1, len(masks)))
+    }
+
+
+def class_scan_oracle(cap):
+    """The bases of scan_oracle whose left-out points are each the last of
+    their series class (equal dual columns), in the same order."""
+    last = last_in_series_oracle(cap)
+    return tuple(row for row in scan_oracle(cap) if set(range(cap.size)) - set(row[0]) <= last)

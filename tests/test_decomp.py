@@ -19,6 +19,7 @@ from capclass.decomp import (
     _basis_scan,
     _canonical_type,
     _every_basis,
+    _value_classes,
     decompose,
     exchange_basis,
     extended_type,
@@ -41,7 +42,7 @@ from capclass.gf2 import (
 )
 from capclass.templates import FRAME_MASKS, LABELS, generating_basis, higherdim_pair, instantiate
 
-from oracles import rank_oracle
+from oracles import class_scan_oracle, rank_oracle, scan_oracle
 
 FRAME_POINTS = tuple(Point(m, 7) for m in FRAME_MASKS)
 
@@ -299,40 +300,6 @@ sys.exit("exchange_basis accepted a wrong support")
             exchange_basis(wrong, Point(2, 7), Point(y, 7))
 
 
-def scan_oracle(cap):
-    """Every basis subset in ascending index order, with the supports decompose gives it."""
-    masks = cap.sorted_masks()
-    out = []
-    for subset in combinations(range(len(masks)), cap.dim + 1):
-        if rank_oracle([masks[i] for i in subset]) == cap.dim:
-            basis = [Point(masks[i], cap.n) for i in subset]
-            out.append((subset, decompose(cap, basis).support_masks()))
-    return tuple(out)
-
-
-def last_in_series_oracle(cap):
-    """Indices of the points that no later point is in series with, by
-    rank alone: points i and j that each leave the rank whole when deleted
-    are in series when deleting both lowers it ({i, j} is a cocircuit)."""
-    masks = cap.sorted_masks()
-    rank = rank_oracle(list(masks))
-
-    def without(*drop):
-        return rank_oracle([m for i, m in enumerate(masks) if i not in drop])
-
-    free = [without(j) == rank for j in range(len(masks))]
-    return {
-        i for i in range(len(masks)) if not any(free[j] and without(i, j) < rank for j in range(i + 1, len(masks)))
-    }
-
-
-def class_scan_oracle(cap):
-    """The bases of scan_oracle whose left-out points are each the last of
-    their series class (equal dual columns), in the same order."""
-    last = last_in_series_oracle(cap)
-    return tuple(row for row in scan_oracle(cap) if set(range(cap.size)) - set(row[0]) <= last)
-
-
 def assert_every_basis_matches_brute_force(cap):
     masks, bc = cap.sorted_masks(), cap.dim + 1
     assert _every_basis(masks, bc) == scan_oracle(cap)
@@ -439,25 +406,30 @@ class TestTypeCensus:
 
     def test_census_reads_the_scan_its_canonical_form_made(self):
         cap = template_image("T11_555_332", 7)
-        _basis_scan.cache_clear()
+        _value_classes.cache_clear()
         canonical_form(cap)
         type_census(cap)
-        assert _basis_scan.cache_info().misses == 1
+        assert _value_classes.cache_info().misses == 1
 
     def test_type_cache_stays_bounded(self, monkeypatch):
         from capclass.gf2 import apply_affine_map, random_invertible_affine
 
         caps = [instantiate(label) for label in LABELS]
         caps += [Cap(apply_affine_map(random_invertible_affine(7, seed), cap.points)) for cap in caps for seed in (1, 2)]
-        monkeypatch.setattr(decomp, "_TYPE_CACHE", {})
+        # both memos on the census path: class keys, then raw types
+        caches = ("_CLASS_TYPE_CACHE", "_TYPE_CACHE")
+        for name in caches:
+            monkeypatch.setattr(decomp, name, {})
         expected = [type_census(cap) for cap in caps]
         limit = 2
-        assert len(decomp._TYPE_CACHE) > limit
+        assert all(len(getattr(decomp, name)) > limit for name in caches)
         monkeypatch.setattr(decomp, "_TYPE_CACHE_LIMIT", limit)
-        monkeypatch.setattr(decomp, "_TYPE_CACHE", {})
+        for name in caches:
+            monkeypatch.setattr(decomp, name, {})
         for cap, want in zip(caps, expected):
             assert type_census(cap) == want
-            assert len(decomp._TYPE_CACHE) <= limit
+            for name in caches:
+                assert len(getattr(decomp, name)) <= limit, name
 
     @given(st.integers(0, 60))
     @settings(max_examples=25, deadline=None)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from capclass import equivalence
 from capclass.capset import Cap, extension_candidates
 from capclass.equivalence import (
-    _basis_masks,
+    _class_masks,
     _column_order,
     _least_basis,
     _map_from_bases,
@@ -27,6 +27,7 @@ from capclass.decomp import ExtendedType, _every_basis, type_census
 from capclass.templates import LABELS, higherdim_pair, instantiate
 
 from oracles import (
+    class_scan_oracle,
     equivalent_by_basis_images,
     map_from_bases_oracle,
     min_column_form_oracle,
@@ -220,9 +221,22 @@ def brute_force_min_form(sups, ncols):
     return min(tuple(sorted(relabel(s, order) for s in sups)) for order in permutations(range(ncols)))
 
 
+def class_key(sups, ncols):
+    """The key decomp._value_classes gives the class of a basis with these
+    supports: per signature w < 2^r (the supports holding a column), its
+    columns, plus one at w = 2^t for the t-th dependent itself."""
+    key = [0] * (1 << len(sups))
+    for c in range(ncols):
+        key[sum(1 << t for t, sup in enumerate(sups) if sup >> c & 1)] += 1
+    for t in range(len(sups)):
+        key[1 << t] += 1
+    return tuple(key)
+
+
 def ordered_form(sups, ncols):
-    """The least masks of one basis with the order the winning basis takes."""
-    return _basis_masks(sups, ncols), _column_order(sups, ncols)
+    """The least masks of one basis, through the memo on its class key,
+    with the order the winning basis takes."""
+    return _class_masks(class_key(sups, ncols)), _column_order(sups, ncols)
 
 
 class TestMinimalFormAgainstAllColumnOrders:
@@ -365,11 +379,10 @@ class TestFormKernelsMatchReference:
     @pytest.mark.parametrize(
         "inputs", (seeded_kernel_inputs, classified_basis_rows, tie_heavy_inputs, dim8_normalized_basis_rows)
     )
-    def test_basis_masks(self, inputs, monkeypatch):
-        # cold caches, then norm-key hits alone, then raw hits; rows with
-        # two supports go through the same memoised kernel as the rest
-        for name in ("_RAW_FORM_CACHE", "_NORM_FORM_CACHE"):
-            monkeypatch.setattr(equivalence, name, {})
+    def test_class_masks(self, inputs, monkeypatch):
+        # a cold memo, then hits; rows with two supports go through the
+        # same memoised kernel as the rest
+        monkeypatch.setattr(equivalence, "_NORM_FORM_CACHE", {})
         # the least masks ignore column labels, so the reference runs on the
         # normalised supports, where it is fast, once per normalised key
         want_of: dict = {}
@@ -379,17 +392,13 @@ class TestFormKernelsMatchReference:
             if key not in want_of:
                 want_of[key] = min_column_form_oracle(*key)[0]
             cases.append(((sups, ncols), want_of[key]))
-        for clear_raw in (False, True, False):
-            if clear_raw:
-                equivalence._RAW_FORM_CACHE.clear()
+        for _ in range(2):
             for row, want in cases:
-                assert _basis_masks(*row) == want, row
+                assert _class_masks(class_key(*row)) == want, row
 
     def test_two_supports_are_memoised_like_the_rest(self, monkeypatch):
-        for name in ("_RAW_FORM_CACHE", "_NORM_FORM_CACHE"):
-            monkeypatch.setattr(equivalence, name, {})
-        assert _basis_masks((0b0111, 0b1100), 5) == (0b0011, 0b1101)
-        assert len(equivalence._RAW_FORM_CACHE) == 1
+        monkeypatch.setattr(equivalence, "_NORM_FORM_CACHE", {})
+        assert _class_masks(class_key((0b0111, 0b1100), 5)) == (0b0011, 0b1101)
         assert len(equivalence._NORM_FORM_CACHE) == 1
 
     def test_cell_with_two_signatures_raises(self, monkeypatch):
@@ -409,8 +418,7 @@ class TestOnlyTheWinnerIsOrdered:
             raise AssertionError("canonical_form ordered a basis")
 
         monkeypatch.setattr(equivalence, "_column_order", refuse)
-        for name in ("_RAW_FORM_CACHE", "_NORM_FORM_CACHE"):
-            monkeypatch.setattr(equivalence, name, {})
+        monkeypatch.setattr(equivalence, "_NORM_FORM_CACHE", {})
         assert canonical_form(cap) == want
 
     def test_winner_disagreeing_with_the_form_raises(self, monkeypatch):
@@ -428,23 +436,46 @@ class TestOnlyTheWinnerIsOrdered:
 
 
 @cache
-def differential_caps():
-    """The distinct caps that classify(6|7|8, 13) passes to canonical_form
-    (each frame, and every extension of a representative below 13 points),
-    and three seeded images of every template and of the higherdim pair."""
+def formed_caps(dim):
+    """The distinct caps that classify(dim, 13) passes to canonical_form:
+    each frame, and every extension of a representative below 13 points."""
     caps = {}
-    for dim in (6, 7, 8):
-        table = classify(dim, 13)
-        for size in sorted(table.rows):
-            for entry in table.entries(size):
-                caps.setdefault(entry.cap.sorted_masks(), entry.cap)
-                if size < 13:
-                    base = entry.cap.sorted_masks()
-                    for z in extension_candidates(entry.cap).sorted_masks():
-                        cap = Cap(PointSet(dim, base + (z,)))
-                        caps.setdefault(cap.sorted_masks(), cap)
+    table = classify(dim, 13)
+    for size in sorted(table.rows):
+        for entry in table.entries(size):
+            caps.setdefault(entry.cap.sorted_masks(), entry.cap)
+            if size < 13:
+                base = entry.cap.sorted_masks()
+                for z in extension_candidates(entry.cap).sorted_masks():
+                    cap = Cap(PointSet(dim, base + (z,)))
+                    caps.setdefault(cap.sorted_masks(), cap)
+    return list(caps.values())
+
+
+@cache
+def differential_caps():
+    """The caps classify(6|7|8, 13) passes to canonical_form, and three
+    seeded images of every template and of the higherdim pair."""
     templates = [instantiate(label) for label in LABELS] + list(higherdim_pair())
-    return list(caps.values()) + [image_cap(cap, seed) for cap in templates for seed in (1, 2, 3)]
+    caps = [cap for dim in (6, 7, 8) for cap in formed_caps(dim)]
+    return caps + [image_cap(cap, seed) for cap in templates for seed in (1, 2, 3)]
+
+
+_MASKS_BY_SUPPORTS: dict = {}
+_MASKS_BY_SIGNATURES: dict = {}
+
+
+def least_masks(sups, ncols):
+    """_min_column_form's least masks of one basis, memoised here on the
+    sorted supports and on the sorted column signatures: the least masks
+    ignore the order of the supports and the column labels."""
+    raw = (ncols, tuple(sorted(sups)))
+    if raw not in _MASKS_BY_SUPPORTS:
+        sigs = (len(sups), tuple(sorted(sum(1 << t for t, sup in enumerate(sups) if sup >> c & 1) for c in range(ncols))))
+        if sigs not in _MASKS_BY_SIGNATURES:
+            _MASKS_BY_SIGNATURES[sigs] = _min_column_form(sups, ncols)[0]
+        _MASKS_BY_SUPPORTS[raw] = _MASKS_BY_SIGNATURES[sigs]
+    return _MASKS_BY_SUPPORTS[raw]
 
 
 class TestOneBasisPerClassMatchesEveryBasis:
@@ -457,7 +488,7 @@ class TestOneBasisPerClassMatchesEveryBasis:
             bc = cap.dim + 1
             want = None
             for subset, sups in _every_basis(cap.sorted_masks(), bc):
-                masks = _basis_masks(sups, bc)
+                masks = least_masks(sups, bc)
                 if want is None or masks < want[0]:
                     want = (masks, subset, sups)
             assert _least_basis(cap) == want
@@ -468,18 +499,75 @@ class TestOneBasisPerClassMatchesEveryBasis:
             assert type_census(cap) == frozenset(ExtendedType.from_supports(sups) for _, sups in every)
 
 
+# The representatives of the 14-point row of classify(8, 14): five
+# classes, each basis with five dependents.
+CLASSIFY_8_14_ROW = (
+    (0, 1, 2, 4, 8, 15, 16, 32, 51, 64, 85, 106, 128, 150),
+    (0, 1, 2, 4, 8, 15, 16, 32, 51, 64, 85, 106, 128, 155),
+    (0, 1, 2, 4, 8, 15, 16, 32, 51, 64, 85, 106, 128, 252),
+    (0, 1, 2, 4, 8, 15, 16, 32, 51, 64, 85, 128, 150, 232),
+    (0, 1, 2, 4, 8, 15, 16, 32, 51, 64, 85, 128, 154, 225),
+)
+CLASS_ORACLE_GROUPS = ("template-images", "classify-7-13", "classify-8-13-sample", "classify-8-14-row")
+
+
+@cache
+def class_oracle_caps():
+    """Twenty seeded images of each template, every cap classify(7, 13)
+    forms, a seeded sample of those classify(8, 13) forms, and the
+    14-point representatives of classify(8, 14)."""
+    return dict(zip(CLASS_ORACLE_GROUPS, (
+        [image_cap(instantiate(label), seed) for label in LABELS for seed in range(20)],
+        formed_caps(7),
+        random.Random(813).sample(formed_caps(8), 60),
+        [Cap(PointSet(8, masks)) for masks in CLASSIFY_8_14_ROW],
+    )))
+
+
+oracle_rows = cache(class_scan_oracle)
+
+
+def least_basis_oracle(cap):
+    """The first basis in class_scan_oracle order whose supports reach the
+    least masks of _min_column_form."""
+    best = None
+    for subset, sups in oracle_rows(cap):
+        masks = least_masks(sups, cap.dim + 1)
+        if best is None or masks < best[0]:
+            best = (masks, subset, sups)
+    return best
+
+
+class TestValueSearchMatchesClassScanOracle:
+    """_least_basis and type_census read the search over dual values;
+    class_scan_oracle finds the same bases by brute force over subsets
+    and reads their supports from decompose, using neither that search
+    nor its class keys."""
+
+    @pytest.mark.parametrize("group", CLASS_ORACLE_GROUPS)
+    def test_least_basis(self, group):
+        for cap in class_oracle_caps()[group]:
+            assert _least_basis(cap) == least_basis_oracle(cap), cap.sorted_masks()
+
+    # the type census stops at 13 points
+    @pytest.mark.parametrize("group", CLASS_ORACLE_GROUPS[:3])
+    def test_type_census(self, group):
+        for cap in class_oracle_caps()[group]:
+            want = frozenset(ExtendedType.from_supports(sups) for _, sups in oracle_rows(cap))
+            assert type_census(cap) == want, cap.sorted_masks()
+
+
 def test_form_caches_stay_bounded(monkeypatch):
     caps = [image_cap(instantiate(label), seed) for label in ("T11_555_332", "T11_755_443") for seed in (1, 2)]
-    caches = ("_RAW_FORM_CACHE", "_NORM_FORM_CACHE")
-    for name in caches:
+    for name in ("_RAW_FORM_CACHE", "_NORM_FORM_CACHE"):
         monkeypatch.setattr(equivalence, name, {})
     expected = [_ordered_basis(cap, _least_basis(cap)) for cap in caps]
     limit = 3
-    assert all(len(getattr(equivalence, name)) > limit for name in caches)
+    assert len(equivalence._NORM_FORM_CACHE) > limit
     monkeypatch.setattr(equivalence, "_RAW_CACHE_LIMIT", limit)
-    for name in caches:
-        monkeypatch.setattr(equivalence, name, {})
+    monkeypatch.setattr(equivalence, "_NORM_FORM_CACHE", {})
     for cap, want in zip(caps, expected):
         assert _ordered_basis(cap, _least_basis(cap)) == want
-        for name in caches:
-            assert len(getattr(equivalence, name)) <= limit, name
+        assert len(equivalence._NORM_FORM_CACHE) <= limit
+    # bound for perfbench's tracer only: the form path never fills it
+    assert not equivalence._RAW_FORM_CACHE

@@ -18,6 +18,8 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 GOLDEN = {
     ("classify", "7", "13"): "fcc6f3972ff34be76c05157f3057b50550af704e1c82b95d328a3f89b547b874",
     ("classify", "8", "13"): "87059760b489be185f2d9db4f01a2a57684eb9d1b7de873edf377f624a4bfcb1",
+    # five dependents per basis (r = 5), the most the 14-point limit allows
+    ("classify", "8", "14"): "312883796f088dcb0a46d6f22b84f9e40d3da02f65ff25a1f67cf158a73314a0",
     ("verify-paper", "--json", "--fuzz-trials", "10", "--exchange-trials", "100"):
         "2debcd51095565c152cdd576657a41b64c7b0de7d4ef044d6267b02f20dbf921",
     # the benchmark's verify-paper operation, whose gate reads this digest from perfbench/golden.json
@@ -34,7 +36,12 @@ GOLDEN = {
 # signature class are taken in descending order.  The last pair is T10_55_3
 # in AG(7,2) and its image under random_invertible_affine(7, 1): two
 # dependents, so the closed-form order fixes the map, and the map changes
-# if the least order of _min_column_form is taken instead.
+# if the least order of _min_column_form is taken instead.  The last two
+# pairs have four and five dependents: T12_7555 in AG(7,2) and a 14-cap
+# of AG(8,2) (the first of classify(8, 14)'s 14-point row), each against
+# its image under random_invertible_affine(n, 1).  Their maps rest on
+# which basis wins among the bases reaching the form: both change if the
+# last basis in scan order to reach it is taken instead of the first.
 EQUIV_GOLDEN = {
     (
         8,
@@ -66,6 +73,16 @@ EQUIV_GOLDEN = {
         (0, 1, 2, 4, 8, 15, 16, 32, 62, 64),
         (3, 7, 14, 15, 17, 30, 41, 60, 83, 112),
     ): "d5d2a923f7f9d8cf7c677e18c98f70d19b77391f761623735ca7f8811e0e98cc",
+    (
+        7,
+        (0, 1, 2, 4, 8, 16, 32, 63, 64, 106, 113, 124),
+        (3, 7, 14, 15, 17, 30, 41, 83, 93, 97, 99, 102),
+    ): "11c086e99eae559a4ca91f11b68a7ce500e74b9887a14462e08b1c3a040ea70d",
+    (
+        8,
+        (0, 1, 2, 4, 8, 15, 16, 32, 51, 64, 85, 106, 128, 150),
+        (41, 51, 82, 85, 114, 115, 123, 127, 159, 175, 188, 219, 226, 237),
+    ): "08040c2261195c643d0d3b458b9eb182fcb283f15201b7099c12d00b8282d85e",
 }
 
 
