@@ -13,10 +13,10 @@ are independent, so one depth-first search over the values
 (_independent_sets) serves every reader.  Points with equal values are
 in series, and bases that leave out the same set of values share their
 supports up to a permutation of rows and columns: one class.  Canonical
-forms and the type census read one label-free key per class
-(_value_classes), memoised once, and build supports only for the
-winning basis; the laws stated of every basis read the full
-enumeration (_every_basis).  The key has 2^r entries, and r is at most
+forms and the type census share one cached list of label-free keys,
+one per class (_basis_scan), and build supports only for the winning
+basis; the laws stated of every basis read the full enumeration
+(_every_basis).  The key has 2^r entries, and r is at most
 5 under the 14-point limit of canonical forms; ROADMAP item 7 (r up to
 10) must revisit its encoding.
 """
@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
+from operator import mul
 from typing import Sequence
 
 from .capset import Cap
@@ -42,7 +43,7 @@ from .gf2 import (
 # raw (sizes, pairs) -> canonical order; cleared whenever it reaches the limit
 _TYPE_CACHE: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 _TYPE_CACHE_LIMIT = 100_000
-# class key (see _value_classes) -> ExtendedType; cleared at the same limit
+# class key (see _basis_scan) -> ExtendedType; cleared at the same limit
 _CLASS_TYPE_CACHE: dict[tuple[int, ...], ExtendedType] = {}
 
 
@@ -232,9 +233,10 @@ _DESK_LIMIT = 13
 
 def _complements(
     masks: tuple[int, ...], bc: int, one_per_class: bool
-) -> tuple[tuple[int, ...], list[tuple[tuple[int, ...], tuple[int, ...]]]]:
-    """(dual value of each point, _independent_sets over them): every
-    complement of a bc-point basis with its key, none when there is none.
+) -> tuple[tuple[int, ...], list[tuple[list[int], tuple[int, ...]]]]:
+    """(dual value of each point, _independent_sets over them): the
+    complement of every bc-point basis with its span, none when there is
+    none.
 
     A bc-subset is a basis exactly when its complement is a basis of the
     dual matroid, whose r rows are the dependents' supports over the
@@ -243,7 +245,7 @@ def _complements(
     point, marked by point index; point c's dual value is bit c of the
     rows, an r-bit value, and points of value 0 are in every basis.  With
     ``one_per_class`` only the last index of each value may leave the
-    basis (see _value_classes).
+    basis (see _basis_scan).
     """
     k = len(masks)
     if bc > k:
@@ -266,62 +268,37 @@ def _complements(
 
 def _independent_sets(
     values: tuple[int, ...], candidates: Sequence[int], r: int
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(key, subset) for every r-subset of ``candidates`` (point indices,
+) -> list[tuple[list[int], tuple[int, ...]]]:
+    """(span, subset) for every r-subset of ``candidates`` (point indices,
     ascending) whose dual values are independent, in ascending
     lexicographic order of the subsets.  These subsets are the
-    complements of the bases.  The key is ``count[span[w]]`` for w < 2^r,
-    where ``span[w]`` is the XOR of the subset's values picked by the
-    bits of w and ``count[v]`` the number of points whose value is v.
+    complements of the bases.  ``span[w]`` is the XOR of the values of
+    all but the subset's last point picked by the bits of w, one list
+    shared by the subsets that differ only in their last point; the
+    readers double it by the last value.  For r = 0 the one subset is
+    empty and its span [0].
 
     The search adds one point at a time and keeps the span of the values
     chosen so far, doubled on each step; a point whose value lies in the
     span would make the complement dependent."""
-    count = [0] * (1 << r)
-    for v in values:
-        count[v] += 1
     if not r:
-        return [((count[0],), ())]
-    # count[x ^ v] by x, for each candidate value v: the key's upper half
-    shifted = {values[c]: [count[x ^ values[c]] for x in range(1 << r)] for c in candidates}
-    out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        return [([0], ())]
+    out: list[tuple[list[int], tuple[int, ...]]] = []
 
     def extend(start: int, chosen: tuple[int, ...], span: list[int]) -> None:
         stop = len(candidates) - r + len(chosen) + 1
-        if len(chosen) == r - 1:
-            head = tuple(map(count.__getitem__, span))
-            for pos in range(start, stop):
-                c = candidates[pos]
-                if values[c] not in span:
-                    out.append((head + tuple(map(shifted[values[c]].__getitem__, span)), chosen + (c,)))
-            return
+        last = len(chosen) == r - 1
         for pos in range(start, stop):
             c = candidates[pos]
             v = values[c]
             if v not in span:
-                extend(pos + 1, chosen + (c,), span + [x ^ v for x in span])
+                if last:
+                    out.append((span, chosen + (c,)))
+                else:
+                    extend(pos + 1, chosen + (c,), span + [x ^ v for x in span])
 
     extend(0, (), [0])
     return out
-
-
-def _class_basis(values: tuple[int, ...], complement: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(subset indices, dependent supports) of the basis left by one complement.
-
-    The dependent left out t-th (ascending index) holds a basis point
-    exactly when bit t of the point's coordinates, its dual value written
-    over the complement's values, is set: the supports are the rows of
-    V^-1 U, for V the complement's value columns and U the basis's.  Bit
-    i of a support is subset position i."""
-    span = [0]
-    for c in complement:
-        v = values[c]
-        span += [x ^ v for x in span]
-    coords = {v: w for w, v in enumerate(span)}
-    subset = list(range(len(values)))
-    for c in reversed(complement):
-        del subset[c]
-    return tuple(subset), _transpose([coords[values[i]] for i in subset], len(complement))
 
 
 def _key_supports(key: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
@@ -337,21 +314,11 @@ def _key_supports(key: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     return _transpose(sigs, r), len(sigs)
 
 
-def _scan(masks: tuple[int, ...], bc: int, one_per_class: bool) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """(subset indices, dependent supports) for the basis subsets, in
-    ascending index order of the subsets: complements in ascending order
-    are bases in descending order."""
-    values, found = _complements(masks, bc, one_per_class)
-    return tuple(_class_basis(values, complement) for _, complement in reversed(found))
-
-
 @lru_cache(maxsize=1)
-def _value_classes(
-    masks: tuple[int, ...], bc: int
-) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]]:
-    """(dual values, (key, complement) per distinct key) of a point set,
-    cached for the last point set only: canonical_form and type_census on
-    one cap share it.
+def _basis_scan(masks: tuple[int, ...], bc: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(key, complement) per distinct class key of the bc-point bases of a
+    point set, cached for the last point set only: canonical_form and
+    type_census on one cap share it.
 
     Points with equal nonzero dual values are in series (parallel in the
     dual matroid; Oxley, *Matroid Theory*, 2.1), so a complement holds at
@@ -359,32 +326,88 @@ def _value_classes(
     a class whose bases share their supports up to a permutation of rows
     and columns.  A class is an independent r-set of the distinct values,
     its complement taken as the last index of each.  Its key,
-    ``count[span[w]]`` for w < 2^r, fixes its supports up to a column
-    permutation (_key_supports), so it fixes the least masks and the
-    ExtendedType; the key is free of point labels and has 2^r entries.
-    Complements come in ascending order, so each key keeps the greatest
-    of its classes: the first basis in _basis_scan's order among them."""
-    values, found = _complements(masks, bc, True)
-    return values, tuple(dict(found).items())
+    ``count[span[w]]`` for w < 2^r with ``count[v]`` the number of points
+    of value v, fixes its supports up to a column permutation
+    (_key_supports), so it fixes the least masks and the ExtendedType;
+    the key is free of point labels and has 2^r entries.  Complements
+    come in ascending order, so each key keeps the greatest of its
+    classes, which is the greatest complement of any basis with that key:
+    the key's first basis in _every_basis's order."""
+    values, leaves = _complements(masks, bc, True)
+    if not leaves:
+        return ()
+    r = len(leaves[0][1])
+    count = [0] * (1 << r)
+    for v in values:
+        count[v] += 1
+    if not r:
+        return (((count[0],), ()),)
+    # count[x ^ v] by x, for each value v: the key's second half when v is last
+    shifted = {v: [count[x ^ v] for x in range(1 << r)] for v in set(values)}
+    keys = {}
+    parent = None
+    for span, complement in leaves:
+        if span is not parent:
+            parent, first = span, tuple(map(count.__getitem__, span))
+        keys[first + tuple(map(shifted[values[complement[-1]]].__getitem__, span))] = complement
+    return tuple(keys.items())
 
 
-# called only by the tests; perfbench/tracing.py wraps it by name until ROADMAP item 2 lands
-@lru_cache(maxsize=1)
-def _basis_scan(masks: tuple[int, ...], bc: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """(subset indices, dependent supports) for one basis per class of
-    _value_classes, every class kept.  A class's complement, the last
-    index of each of its values, is the lexicographically greatest of the
-    class, and complements come out in descending order, so each kept
-    basis is the first of its class in _every_basis's order, and the
-    result is the subsequence of _every_basis made of those bases, with
-    the same (subset, supports)."""
-    return _scan(masks, bc, True)
+def _basis_of(masks: tuple[int, ...], complement: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(subset indices, dependent supports) of the basis that leaves out
+    ``complement``: the supports of the left-out points over the rest,
+    from one elimination, as decompose finds them."""
+    subset = tuple(i for i in range(len(masks)) if i not in complement)
+    basis = [masks[i] for i in subset]
+    solver = _affine_elimination(basis)[0]
+    return subset, tuple(_solve_support(solver, basis[0], masks[c]) for c in complement)
 
 
 def _every_basis(masks: tuple[int, ...], bc: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """(subset indices, dependent supports) for every basis subset,
-    uncached: for the checks that state a law of each basis."""
-    return _scan(masks, bc, False)
+    """(subset indices, dependent supports) for every basis subset, in
+    ascending index order, uncached: for the checks that state a law of
+    each basis.
+
+    The dependent left out t-th (ascending index) holds a basis point
+    exactly when bit t of the point's coordinates, its dual value written
+    over the complement's values, is set: a point whose value is the
+    w-th of the complement's span is in the supports picked by w.  The
+    supports are built side by side in one integer, field t of width k
+    holding the t-th over point indices; dropping the complement's
+    indices then turns point indices into subset positions, bit i of a
+    support being subset position i.  Complements in ascending order are
+    bases in descending order."""
+    values, leaves = _complements(masks, bc, False)
+    if not leaves:
+        return ()
+    k, r = len(values), len(leaves[0][1])
+    if not r:
+        return ((tuple(range(k)), ()),)
+    at = [0] * (1 << r)
+    for i, v in enumerate(values):
+        at[v] |= 1 << i
+    # the fields picked by w, for the first half of the span, then the second
+    fields = [sum(1 << t * k for t in range(r) if w >> t & 1) for w in range(1 << r)]
+    low, high = fields[: 1 << r - 1], fields[1 << r - 1 :]
+    ones = fields[-1]
+    below = [((1 << c) - 1) * ones for c in range(k)]
+    above = [((1 << k - 1) - (1 << c)) * ones for c in range(k)]
+    shifts = [t * k for t in range(r)]
+    width = (1 << k - r) - 1
+    points = list(range(k))
+    out = []
+    parent = None
+    for span, complement in reversed(leaves):
+        if span is not parent:
+            parent, first = span, sum(map(mul, map(at.__getitem__, span), low))
+        packed = first + sum(map(mul, map(at.__getitem__, map(values[complement[-1]].__xor__, span)), high))
+        subset = points.copy()
+        # shifting the bits above c down one drops bit c
+        for c in reversed(complement):
+            packed = packed & below[c] | packed >> 1 & above[c]
+            del subset[c]
+        out.append((tuple(subset), tuple([packed >> s & width for s in shifts])))
+    return tuple(out)
 
 
 def _class_type(key: tuple[int, ...]) -> ExtendedType:
@@ -399,10 +422,9 @@ def _class_type(key: tuple[int, ...]) -> ExtendedType:
 def type_census(c: Cap) -> frozenset[ExtendedType]:
     """Extended types of the bases contained in the cap.
 
-    One type per key of _value_classes is read: the bases of a class
+    One type per key of _basis_scan is read: the bases of a class
     share their supports up to a permutation of rows and columns, so they
     share one ExtendedType, and the set equals the set over every basis."""
     if c.size > _DESK_LIMIT:
         raise TooLargeError(f"type census is limited to {_DESK_LIMIT} points, got {c.size}")
-    _, classes = _value_classes(c.sorted_masks(), c.dim + 1)
-    return frozenset([_class_type(key) for key, _ in classes])
+    return frozenset([_class_type(key) for key, _ in _basis_scan(c.sorted_masks(), c.dim + 1)])

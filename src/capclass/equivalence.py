@@ -8,7 +8,7 @@ affine equivalence (two caps whose dependents fit a common template
 are equivalent, and the form is the minimal such template).
 
 The minimisation runs over classes of bases, not over bases:
-decomp._value_classes searches the cap's dual-column values and gives
+decomp._basis_scan searches the cap's dual-column values and gives
 each class of bases whose supports agree up to a permutation of rows and
 columns one key, free of point and column labels, that fixes those
 supports up to a column permutation.  The least masks of a class are
@@ -21,7 +21,7 @@ the class's complement, so row permutations of one structure are
 separate keys; a key free of row labels too would be the least masks
 themselves.  As canonical labelling separates comparing certificates
 from building the labelling, only the winning class is materialised:
-the first basis in decomp._basis_scan's order to reach the form, which
+the first basis in decomp._every_basis's order to reach the form, which
 is the class reaching it with the lexicographically greatest
 complement.  The refinement then runs once more on its supports and
 returns the lexicographically least optimal order in the basis's own
@@ -35,13 +35,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .capset import Cap
-from .decomp import _cache_put, _class_basis, _key_supports, _value_classes
+from .decomp import _basis_of, _basis_scan, _cache_put, _key_supports
 from .errors import DimensionMismatchError, InvariantError, TooLargeError
 from .gf2 import AffineMap, XorBasis, _columns_of, _transpose
 
 _SIZE_LIMIT = 14
 
-# Least masks per class key (decomp._value_classes), cleared whenever it
+# Least masks per class key (decomp._basis_scan), cleared whenever it
 # reaches _RAW_CACHE_LIMIT.  The key is free of point and column labels,
 # so every affine image of one cap meets the same keys.
 _NORM_FORM_CACHE: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -157,19 +157,20 @@ def _class_masks(key: tuple[int, ...]) -> tuple[int, ...]:
 
 def _least_basis(c: Cap) -> _Least:
     """Least per-basis masks of c, with the subset and supports of the
-    first basis in _basis_scan order that reaches them: among the classes
-    reaching them, the one whose complement is lexicographically greatest."""
+    first basis in decomp._every_basis order that reaches them: among the
+    classes reaching them, the one whose complement is lexicographically
+    greatest."""
     if c.size > _SIZE_LIMIT:
         raise TooLargeError(f"canonical form is limited to {_SIZE_LIMIT} points, got {c.size}")
-    values, classes = _value_classes(c.sorted_masks(), c.dim + 1)
+    points, bc = c.sorted_masks(), c.dim + 1
     best: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    for key, complement in classes:
+    for key, complement in _basis_scan(points, bc):
         masks = _class_masks(key)
         if best is None or masks < best[0] or masks == best[0] and complement > best[1]:
             best = (masks, complement)
     if best is None:
         raise InvariantError(f"a {c.size}-point cap of dimension {c.dim} has no internal basis")
-    return (best[0], *_class_basis(values, best[1]))
+    return (best[0], *_basis_of(points, best[1]))
 
 
 def _ordered_basis(c: Cap, least: _Least) -> tuple[int, ...]:

@@ -416,3 +416,15 @@ def class_scan_oracle(cap):
     their series class (equal dual columns), in the same order."""
     last = last_in_series_oracle(cap)
     return tuple(row for row in scan_oracle(cap) if set(range(cap.size)) - set(row[0]) <= last)
+
+
+def class_key(sups, ncols):
+    """The key decomp._basis_scan gives the class of a basis with these
+    supports: per signature w < 2^r (the supports holding a column), its
+    columns, plus one at w = 2^t for the t-th dependent itself."""
+    key = [0] * (1 << len(sups))
+    for c in range(ncols):
+        key[sum(1 << t for t, sup in enumerate(sups) if sup >> c & 1)] += 1
+    for t in range(len(sups)):
+        key[1 << t] += 1
+    return tuple(key)

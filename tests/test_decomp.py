@@ -17,9 +17,9 @@ from capclass.classifier import classify
 from capclass.decomp import (
     ExtendedType,
     _basis_scan,
+    _basis_of,
     _canonical_type,
     _every_basis,
-    _value_classes,
     decompose,
     exchange_basis,
     extended_type,
@@ -42,7 +42,7 @@ from capclass.gf2 import (
 )
 from capclass.templates import FRAME_MASKS, LABELS, generating_basis, higherdim_pair, instantiate
 
-from oracles import class_scan_oracle, rank_oracle, scan_oracle
+from oracles import class_key, class_scan_oracle, rank_oracle, scan_oracle
 
 FRAME_POINTS = tuple(Point(m, 7) for m in FRAME_MASKS)
 
@@ -306,8 +306,16 @@ def assert_every_basis_matches_brute_force(cap):
 
 
 def assert_class_scan_matches_brute_force(cap):
+    # per class key, the first basis of class_scan_oracle holding it, named by its complement
     masks, bc = cap.sorted_masks(), cap.dim + 1
-    assert _basis_scan(masks, bc) == class_scan_oracle(cap)
+    first = {}
+    for subset, sups in class_scan_oracle(cap):
+        first.setdefault(class_key(sups, bc), (subset, sups))
+    every = tuple(range(len(masks)))
+    want = {key: tuple(sorted(set(every) - set(subset))) for key, (subset, _) in first.items()}
+    assert dict(_basis_scan(masks, bc)) == want
+    for key, complement in want.items():
+        assert _basis_of(masks, complement) == first[key]
 
 
 def template_image(label, seed):
@@ -322,7 +330,8 @@ def classified_representatives(dim, max_size):
 
 class TestBasisScan:
     """_every_basis lists every basis, as brute force does; _basis_scan
-    keeps the first basis of each series class, on the same inputs."""
+    keeps the first basis of each class key among those that leave out the
+    last point of each series class, on the same inputs."""
 
     @pytest.mark.parametrize("label", LABELS)
     def test_templates_match_brute_force(self, label):
@@ -363,8 +372,9 @@ class TestBasisScan:
 
     def test_frame_is_its_only_basis(self):
         cap = Cap(PointSet(7, FRAME_MASKS))
-        for scan in (_basis_scan, _every_basis):
-            assert scan(cap.sorted_masks(), 8) == scan_oracle(cap) == ((tuple(range(8)), ()),)
+        assert _every_basis(cap.sorted_masks(), 8) == scan_oracle(cap) == ((tuple(range(8)), ()),)
+        # one class, all eight points of dual value 0
+        assert _basis_scan(cap.sorted_masks(), 8) == (((8,), ()),)
 
     def test_more_basis_points_than_points_gives_nothing(self):
         masks = instantiate("R5").sorted_masks()
@@ -406,10 +416,10 @@ class TestTypeCensus:
 
     def test_census_reads_the_scan_its_canonical_form_made(self):
         cap = template_image("T11_555_332", 7)
-        _value_classes.cache_clear()
+        _basis_scan.cache_clear()
         canonical_form(cap)
         type_census(cap)
-        assert _value_classes.cache_info().misses == 1
+        assert _basis_scan.cache_info().misses == 1
 
     def test_type_cache_stays_bounded(self, monkeypatch):
         from capclass.gf2 import apply_affine_map, random_invertible_affine

@@ -27,6 +27,7 @@ from capclass.decomp import ExtendedType, _every_basis, type_census
 from capclass.templates import LABELS, higherdim_pair, instantiate
 
 from oracles import (
+    class_key,
     class_scan_oracle,
     equivalent_by_basis_images,
     map_from_bases_oracle,
@@ -219,18 +220,6 @@ def random_supports(rng):
 
 def brute_force_min_form(sups, ncols):
     return min(tuple(sorted(relabel(s, order) for s in sups)) for order in permutations(range(ncols)))
-
-
-def class_key(sups, ncols):
-    """The key decomp._value_classes gives the class of a basis with these
-    supports: per signature w < 2^r (the supports holding a column), its
-    columns, plus one at w = 2^t for the t-th dependent itself."""
-    key = [0] * (1 << len(sups))
-    for c in range(ncols):
-        key[sum(1 << t for t, sup in enumerate(sups) if sup >> c & 1)] += 1
-    for t in range(len(sups)):
-        key[1 << t] += 1
-    return tuple(key)
 
 
 def ordered_form(sups, ncols):
@@ -461,21 +450,18 @@ def differential_caps():
     return caps + [image_cap(cap, seed) for cap in templates for seed in (1, 2, 3)]
 
 
-_MASKS_BY_SUPPORTS: dict = {}
-_MASKS_BY_SIGNATURES: dict = {}
+_LEAST_MASKS: dict = {}
 
 
 def least_masks(sups, ncols):
     """_min_column_form's least masks of one basis, memoised here on the
-    sorted supports and on the sorted column signatures: the least masks
-    ignore the order of the supports and the column labels."""
-    raw = (ncols, tuple(sorted(sups)))
-    if raw not in _MASKS_BY_SUPPORTS:
-        sigs = (len(sups), tuple(sorted(sum(1 << t for t, sup in enumerate(sups) if sup >> c & 1) for c in range(ncols))))
-        if sigs not in _MASKS_BY_SIGNATURES:
-            _MASKS_BY_SIGNATURES[sigs] = _min_column_form(sups, ncols)[0]
-        _MASKS_BY_SUPPORTS[raw] = _MASKS_BY_SIGNATURES[sigs]
-    return _MASKS_BY_SUPPORTS[raw]
+    number of supports and the sorted column signatures (the set of
+    supports holding each column): the least masks ignore the order of
+    the supports and the column labels."""
+    key = (len(sups), tuple(sorted(sum(1 << t for t, sup in enumerate(sups) if sup >> c & 1) for c in range(ncols))))
+    if key not in _LEAST_MASKS:
+        _LEAST_MASKS[key] = _min_column_form(sups, ncols)[0]
+    return _LEAST_MASKS[key]
 
 
 class TestOneBasisPerClassMatchesEveryBasis:
