@@ -24,7 +24,7 @@ basis; the laws stated of every basis read the full enumeration
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations, permutations
 from operator import mul
 from typing import Sequence
@@ -301,17 +301,44 @@ def _independent_sets(
     return out
 
 
-def _key_supports(key: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """Supports and column count of a basis of any class with this key,
-    up to a permutation of columns.
+def _key_supports(key: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Supports and column signatures of a basis of any class with this
+    key, up to a permutation of columns.
 
     A class's key counts, for each w < 2^r, the points whose dual value
     is the w-th entry of its span table.  A basis point whose value sits
     at w is a column with signature w (the dependents that hold it), and
     the point left out t-th is counted at w = 2^t but is no column."""
     r = len(key).bit_length() - 1
-    sigs = [w for w, n in enumerate(key) for _ in range(n - (w > 0 and not w & (w - 1)))]
-    return _transpose(sigs, r), len(sigs)
+    sigs = tuple(w for w, n in enumerate(key) for _ in range(n - (w > 0 and not w & (w - 1))))
+    return _transpose(sigs, r), sigs
+
+
+@cache
+def _row_reading(order: tuple[int, ...]) -> tuple[int, ...]:
+    """For each w < 2^r, the entry of a class key that the key with its
+    rows (dependents) taken in ``order`` reads at w: bit t of w stands
+    for row order[t].  One table per permutation other than the
+    identity, so fewer than the sum of r! over 1 <= r <= 5, 153, under
+    the 14-point limit of canonical forms."""
+    at = [0]
+    for t in order:
+        at += [w | 1 << t for w in at]
+    return tuple(at)
+
+
+def _row_sorted_key(key: tuple[int, ...], sups: tuple[int, ...]) -> tuple[int, ...]:
+    """The key of the same class with its rows re-read in the order of
+    (support size, sorted intersection sizes with the other supports),
+    ties kept in the key's own order; ``sups`` are _key_supports(key)'s.
+    Row orders of one structure that sort alike meet one key."""
+    order = sorted(
+        range(len(sups)),
+        key=lambda t: (sups[t].bit_count(), sorted((sups[t] & s).bit_count() for u, s in enumerate(sups) if u != t)),
+    )
+    if order == list(range(len(sups))):
+        return key
+    return tuple(map(key.__getitem__, _row_reading(tuple(order))))
 
 
 @lru_cache(maxsize=1)

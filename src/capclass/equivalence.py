@@ -11,23 +11,24 @@ The minimisation runs over classes of bases, not over bases:
 decomp._basis_scan searches the cap's dual-column values and gives
 each class of bases whose supports agree up to a permutation of rows and
 columns one key, free of point and column labels, that fixes those
-supports up to a column permutation.  The least masks of a class are
-memoised once, on its key; a miss builds the supports the key fixes and
-finds their least sorted masks over all column orders by refining an
-ordered partition of the columns one support at a time, in the manner
-of canonical labelling (McKay & Piperno 2014), over the r supports
-rather than over the columns.  The key keeps the rows in the order of
-the class's complement, so row permutations of one structure are
-separate keys; a key free of row labels too would be the least masks
-themselves.  As canonical labelling separates comparing certificates
-from building the labelling, only the winning class is materialised:
-the first basis in decomp._every_basis's order to reach the form, which
-is the class reaching it with the lexicographically greatest
-complement.  The refinement then runs once more on its supports and
+supports up to a column permutation.  The key keeps the rows in the
+order of the class's complement, so a miss also reads it with its rows
+sorted by support size and intersection sizes, and one memo holds both
+keys: the row orders of one structure that sort alike share one
+refinement.  That refinement builds the supports and column signatures
+the key fixes and finds their least sorted masks over all column orders
+by refining an ordered partition of the columns one support at a time,
+in the manner of canonical labelling (McKay & Piperno 2014), over the r
+supports rather than over the columns; the memo keeps only the masks.
+As canonical labelling separates comparing certificates from building
+the labelling, only the winning class is materialised: the first basis
+in decomp._every_basis's order to reach the form, which is the class
+reaching it with the lexicographically greatest complement.  The
+refinement then runs once more on its supports, and _column_order
 returns the lexicographically least optimal order in the basis's own
-column labels, and a basis with two supports takes a closed form
-instead.  The key has 2^r entries, and r is at most 5 under
-_SIZE_LIMIT; ROADMAP item 7 (r up to 10) must revisit its encoding.
+column labels; a basis with two supports takes a closed form instead.
+The key has 2^r entries, and r is at most 5 under _SIZE_LIMIT; ROADMAP
+item 7 (r up to 10) must revisit its encoding.
 """
 
 from __future__ import annotations
@@ -35,15 +36,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .capset import Cap
-from .decomp import _basis_of, _basis_scan, _cache_put, _key_supports
+from .decomp import _basis_of, _basis_scan, _cache_put, _key_supports, _row_sorted_key
 from .errors import DimensionMismatchError, InvariantError, TooLargeError
 from .gf2 import AffineMap, XorBasis, _columns_of, _transpose
 
 _SIZE_LIMIT = 14
 
-# Least masks per class key (decomp._basis_scan), cleared whenever it
-# reaches _RAW_CACHE_LIMIT.  The key is free of point and column labels,
-# so every affine image of one cap meets the same keys.
+# Least masks per class key (decomp._basis_scan) and per row-sorted key
+# (decomp._row_sorted_key), cleared whenever it reaches _RAW_CACHE_LIMIT.
+# The keys are free of point and column labels, so every affine image of
+# one cap meets the same keys.
 _NORM_FORM_CACHE: dict[tuple[int, ...], tuple[int, ...]] = {}
 _RAW_CACHE_LIMIT = 400_000
 # never filled: bound only because perfbench/tracing.py reads it by name, until ROADMAP item 2 lands
@@ -68,9 +70,12 @@ class CanonicalForm:
 
 
 def _min_column_form(
-    sups: tuple[int, ...], ncols: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Minimal sorted support-mask tuple over all column orders, with the order.
+    sups: tuple[int, ...], member: tuple[int, ...]
+) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """Minimal sorted support-mask tuple over all column orders, with the
+    final ordered partitions of the support columns that reach it.
+    ``member`` holds each column's signature: the set of supports that
+    hold it.
 
     The minimum is found by choosing rows, not columns.  An ordered
     partition of the support columns into cells fixes which block of
@@ -84,13 +89,9 @@ def _min_column_form(
     one signature class (the set of supports that hold a column).
 
     Every optimal order lists the classes in the cell order of some
-    branch, each class's columns in any order, with the columns carried
-    by no support last.  The tie rule returns the lexicographically least
-    of them in the basis's own column labels: over the final branches,
-    the least list of each cell's columns in ascending order, then the
-    uncarried columns ascending.
+    final partition, each class's columns in any order, with the columns
+    carried by no support last; _column_order picks one of them.
     """
-    member = _transpose(sups, ncols)
     cols_of: dict[int, int] = {}
     held = 0
     for c, sig in enumerate(member):
@@ -123,34 +124,48 @@ def _min_column_form(
             states[chosen, tuple(split)] = None
     if not states:
         raise InvariantError(f"no row order finalised the supports {sups}")
-    for _, cells in states:
+    finals = [cells for _, cells in states]
+    for cells in finals:
         for cell in cells:
             if cols_of[member[(cell & -cell).bit_length() - 1]] != cell:
                 raise InvariantError(f"a final cell of the supports {sups} holds two signatures")
-    order = min([c for cell in cells for c in _columns_of(cell)] for _, cells in states)
-    return tuple(masks), tuple(order + _columns_of(((1 << ncols) - 1) & ~held))
+    return tuple(masks), finals
 
 
 def _column_order(sups: tuple[int, ...], ncols: int) -> tuple[int, ...]:
     """A column order under which one basis's supports pack to its least
     masks; uncached, it runs once per ordered basis.  Ties go to the
-    lexicographically least order, except for two supports, whose closed
-    form lists the intersection, then each support's own columns, then the
-    rest; _ordered_basis checks it against the kernel's masks."""
+    lexicographically least order in the basis's own column labels: over
+    the final partitions, the least list of each cell's columns in
+    ascending order, then the columns carried by no support ascending.
+    Two supports take a closed form instead, which lists the
+    intersection, then each support's own columns, then the rest;
+    _ordered_basis checks either against the kernel's masks."""
     if len(sups) == 2:
         a, b = sorted(sups, key=lambda sup: (sup.bit_count(), sup))
         rest = ~(a | b) & ((1 << ncols) - 1)
         return tuple(_columns_of(a & b) + _columns_of(a & ~b) + _columns_of(b & ~a) + _columns_of(rest))
-    return _min_column_form(sups, ncols)[1]
+    member = _transpose(sups, ncols)
+    order = min([c for cell in cells for c in _columns_of(cell)] for cells in _min_column_form(sups, member)[1])
+    return tuple(order + [c for c, sig in enumerate(member) if not sig])
 
 
 def _class_masks(key: tuple[int, ...]) -> tuple[int, ...]:
     """Least sorted support masks of the bases of one class, memoised on
-    its key: the refinement runs once per key, on the supports the key
-    fixes (decomp._key_supports)."""
+    its key and on the key with its rows sorted (decomp._row_sorted_key).
+    The refinement runs only when both miss, on the supports and column
+    signatures the key fixes (decomp._key_supports), so the row orders of
+    one structure that sort alike share one run.  Least masks are sorted
+    and so ignore row order: the result is exact whatever the tie order
+    of the rows."""
     masks = _NORM_FORM_CACHE.get(key)
     if masks is None:
-        masks = _min_column_form(*_key_supports(key))[0]
+        sups, member = _key_supports(key)
+        sorted_key = _row_sorted_key(key, sups)
+        masks = _NORM_FORM_CACHE.get(sorted_key)
+        if masks is None:
+            masks = _min_column_form(sups, member)[0]
+            _cache_put(_NORM_FORM_CACHE, sorted_key, masks, _RAW_CACHE_LIMIT)
         _cache_put(_NORM_FORM_CACHE, key, masks, _RAW_CACHE_LIMIT)
     return masks
 
@@ -204,23 +219,37 @@ def are_equivalent(c1: Cap, c2: Cap) -> bool:
 def _map_from_bases(basis1: tuple[int, ...], basis2: tuple[int, ...], n: int) -> AffineMap:
     """Invertible map sending basis1[i] to basis2[i], extended linearly."""
     t1, t2 = basis1[0], basis2[0]
-    src = [m ^ t1 for m in basis1[1:]]
     dst = [m ^ t2 for m in basis2[1:]]
-    # extend each by the unit vectors that raise its rank, in index order;
-    # the i-th completions pair up
-    for vectors in (src, dst):
-        xb = XorBasis()
-        for v in vectors:
-            xb.insert(v)
-        vectors.extend(1 << j for j in range(n) if xb.insert(1 << j))
-    # the linear part sends column i of S = src to column i of D = dst: L = D S^-1;
-    # a dependent source leaves S singular or with more than n columns
-    try:
-        s_map = AffineMap(n, _transpose(src, n), 0)
-        linear = AffineMap(n, _transpose(dst, n), 0).compose(s_map.inverse())
-    except ValueError as exc:
-        raise InvariantError("completed source basis is singular") from exc
-    return AffineMap(n, linear.rows, t2 ^ linear.apply_mask(t1))
+    # eliminate the source differences under marker bit i, so that solve
+    # names the source vectors summing to a vector; a dependent one is singular
+    src = XorBasis()
+    for i, m in enumerate(basis1[1:]):
+        if not src.insert(m ^ t1, 1 << i):
+            raise InvariantError("completed source basis is singular")
+    # extend each side by the unit vectors that raise its rank, in index
+    # order; the i-th completions pair up
+    size = len(basis1) - 1
+    for j in range(n):
+        if src.insert(1 << j, 1 << size):
+            size += 1
+    xb = XorBasis()
+    for v in dst:
+        xb.insert(v)
+    dst.extend(1 << j for j in range(n) if xb.insert(1 << j))
+    if len(dst) != n:
+        raise InvariantError("completed image basis is singular")
+    # column j of the linear part is the image of e_j: the XOR of dst over
+    # the source vectors that sum to e_j
+    cols = []
+    for j in range(n):
+        col = 0
+        for i in _columns_of(src.solve(1 << j)):
+            col ^= dst[i]
+        cols.append(col)
+    shift = 0
+    for j in _columns_of(t1):
+        shift ^= cols[j]
+    return AffineMap(n, _transpose(cols, n), t2 ^ shift)
 
 
 def find_isomorphism(c1: Cap, c2: Cap) -> AffineMap | None:

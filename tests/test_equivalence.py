@@ -1,12 +1,13 @@
 import random
 from functools import cache
 from itertools import combinations, permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capclass import equivalence
+from capclass import decomp, equivalence
 from capclass.capset import Cap, extension_candidates
 from capclass.equivalence import (
     _class_masks,
@@ -21,7 +22,7 @@ from capclass.equivalence import (
     verify_map,
 )
 from capclass.errors import DimensionMismatchError, InvariantError, TooLargeError
-from capclass.gf2 import AffineMap, PointSet, apply_affine_map, random_invertible_affine
+from capclass.gf2 import AffineMap, PointSet, _transpose, apply_affine_map, random_invertible_affine
 from capclass.classifier import classify
 from capclass.decomp import ExtendedType, _every_basis, type_census
 from capclass.templates import LABELS, higherdim_pair, instantiate
@@ -128,8 +129,12 @@ class TestFindIsomorphism:
 
     def test_dependent_source_basis_raises_typed_error(self):
         # 0, 1, 2, 3 is affinely dependent: 3 = 0 ^ 1 ^ 2
-        with pytest.raises(InvariantError):
+        with pytest.raises(InvariantError, match="source"):
             _map_from_bases((0, 1, 2, 3), (0, 1, 2, 4), 3)
+
+    def test_dependent_image_basis_raises_typed_error(self):
+        with pytest.raises(InvariantError, match="image"):
+            _map_from_bases((0, 1, 2, 4), (0, 1, 2, 3), 3)
 
 
 def caps_short_of_their_space():
@@ -228,8 +233,14 @@ def ordered_form(sups, ncols):
     return _class_masks(class_key(sups, ncols)), _column_order(sups, ncols)
 
 
+def refined_form(sups, ncols):
+    """The least masks of one basis straight from the refinement of its
+    column signatures, with the order the winning basis takes."""
+    return _min_column_form(sups, _transpose(sups, ncols))[0], _column_order(sups, ncols)
+
+
 class TestMinimalFormAgainstAllColumnOrders:
-    @pytest.mark.parametrize("form_of", (_min_column_form, ordered_form))
+    @pytest.mark.parametrize("form_of", (refined_form, ordered_form))
     def test_seeded_random_supports(self, form_of):
         rng = random.Random(2024)
         for _ in range(300):
@@ -362,8 +373,12 @@ class TestFormKernelsMatchReference:
         "inputs", (seeded_kernel_inputs, normalized_basis_rows, tie_heavy_inputs, dim8_normalized_basis_rows)
     )
     def test_min_column_form(self, inputs):
+        # only _column_order builds an order, and two supports take its closed form
         for sups, ncols in inputs():
-            assert _min_column_form(sups, ncols) == min_column_form_oracle(sups, ncols), (sups, ncols)
+            masks, order = min_column_form_oracle(sups, ncols)
+            assert _min_column_form(sups, _transpose(sups, ncols))[0] == masks, (sups, ncols)
+            if len(sups) != 2:
+                assert _column_order(sups, ncols) == order, (sups, ncols)
 
     @pytest.mark.parametrize(
         "inputs", (seeded_kernel_inputs, classified_basis_rows, tie_heavy_inputs, dim8_normalized_basis_rows)
@@ -386,16 +401,28 @@ class TestFormKernelsMatchReference:
                 assert _class_masks(class_key(*row)) == want, row
 
     def test_two_supports_are_memoised_like_the_rest(self, monkeypatch):
+        # a miss stores the scanned key and the key with its rows sorted
+        # (the smaller support first); the other row order then hits
         monkeypatch.setattr(equivalence, "_NORM_FORM_CACHE", {})
-        assert _class_masks(class_key((0b0111, 0b1100), 5)) == (0b0011, 0b1101)
-        assert len(equivalence._NORM_FORM_CACHE) == 1
+        key, swapped = class_key((0b0111, 0b1100), 5), class_key((0b1100, 0b0111), 5)
+        assert _class_masks(key) == (0b0011, 0b1101)
+        assert equivalence._NORM_FORM_CACHE == {key: (0b0011, 0b1101), swapped: (0b0011, 0b1101)}
+
+        def refuse(sups, member):
+            raise AssertionError("a memoised structure was refined again")
+
+        monkeypatch.setattr(equivalence, "_min_column_form", refuse)
+        assert _class_masks(swapped) == (0b0011, 0b1101)
 
     def test_cell_with_two_signatures_raises(self, monkeypatch):
         # a membership table that disagrees with the supports leaves two
-        # signatures in one final cell; the check must survive python -O
+        # signatures in one final cell, on the memo's path and on the
+        # ordering path; the check must survive python -O
+        with pytest.raises(InvariantError, match="two signatures"):
+            _min_column_form((0b11,), (1, 2))
         monkeypatch.setattr(equivalence, "_transpose", lambda vectors, n: (1, 2))
         with pytest.raises(InvariantError, match="two signatures"):
-            _min_column_form((0b11,), 2)
+            _column_order((0b11,), 2)
 
 
 class TestOnlyTheWinnerIsOrdered:
@@ -458,9 +485,10 @@ def least_masks(sups, ncols):
     number of supports and the sorted column signatures (the set of
     supports holding each column): the least masks ignore the order of
     the supports and the column labels."""
-    key = (len(sups), tuple(sorted(sum(1 << t for t, sup in enumerate(sups) if sup >> c & 1) for c in range(ncols))))
+    member = _transpose(sups, ncols)
+    key = (len(sups), tuple(sorted(member)))
     if key not in _LEAST_MASKS:
-        _LEAST_MASKS[key] = _min_column_form(sups, ncols)[0]
+        _LEAST_MASKS[key] = _min_column_form(sups, member)[0]
     return _LEAST_MASKS[key]
 
 
@@ -557,3 +585,64 @@ def test_form_caches_stay_bounded(monkeypatch):
         assert len(equivalence._NORM_FORM_CACHE) <= limit
     # bound for perfbench's tracer only: the form path never fills it
     assert not equivalence._RAW_FORM_CACHE
+
+
+@cache
+def row_order_caps():
+    """The representatives of classify(7, 13) and classify(8, 13), and the
+    14-point cap of the r = 5 EQUIV_GOLDEN pair."""
+    table = classify(7, 13)
+    dim7 = [entry.cap for size in table.rows for entry in table.entries(size)]
+    frame = (0,) + tuple(1 << i for i in range(8))
+    dim8 = [Cap(PointSet(8, frame + extra)) for extra in CLASSIFY_8_13_EXTRAS]
+    return {"classify-7-13": dim7, "classify-8-13": dim8, "golden-14-cap": [Cap(PointSet(8, CLASSIFY_8_14_ROW[0]))]}
+
+
+class TestRowOrdersShareOneRefinement:
+    """A miss of a class key also reads the key with its rows sorted, so
+    the row orders of one structure share one refinement; whichever row
+    order meets the memo first, every order gets the reference masks."""
+
+    @pytest.mark.parametrize("group", ("classify-7-13", "classify-8-13", "golden-14-cap"))
+    def test_every_row_permutation_gets_the_reference_masks(self, group, monkeypatch):
+        monkeypatch.setattr(equivalence, "_NORM_FORM_CACHE", {})
+        want_of: dict = {}
+        for cap in row_order_caps()[group]:
+            bc = cap.dim + 1
+            # one basis per class key, from the brute-force scan
+            sups_of = {}
+            for _, sups in oracle_rows(cap):
+                sups_of.setdefault(class_key(sups, bc), sups)
+            for sups in sups_of.values():
+                keys = [class_key(rows, bc) for rows in permutations(sups)]
+                # the reference runs once per structure: per least key over the row orders
+                structure = min(keys)
+                if structure not in want_of:
+                    want_of[structure] = min_column_form_oracle(sups, bc)[0]
+                for key in keys:
+                    assert _class_masks(key) == want_of[structure], (cap.sorted_masks(), key)
+
+    def test_cold_classify_refines_once_per_sorted_structure(self, monkeypatch):
+        # cold classify(8, 13) meets 899 class keys of 101 structures (least
+        # masks); keyed on the scanned rows alone, it refined all 899
+        runs = []
+        refine = equivalence._min_column_form
+
+        def counted(sups, member):
+            runs.append(sups)
+            return refine(sups, member)
+
+        monkeypatch.setattr(equivalence, "_NORM_FORM_CACHE", {})
+        monkeypatch.setattr(equivalence, "_min_column_form", counted)
+        classify(8, 13)
+        assert len(set(equivalence._NORM_FORM_CACHE.values())) == 101
+        assert len(runs) <= 137
+
+
+def test_row_readings_stay_bounded(monkeypatch):
+    # one reading per row permutation other than the identity, and r <= 5
+    # under the 14-point limit
+    monkeypatch.setattr(equivalence, "_NORM_FORM_CACHE", {})
+    decomp._row_reading.cache_clear()
+    classify(8, 14)
+    assert 0 < decomp._row_reading.cache_info().currsize <= sum(factorial(r) for r in range(1, 6)) == 153

@@ -36,7 +36,7 @@ GOLDEN = {
 # signature class are taken in descending order.  The last pair is T10_55_3
 # in AG(7,2) and its image under random_invertible_affine(7, 1): two
 # dependents, so the closed-form order fixes the map, and the map changes
-# if the least order of _min_column_form is taken instead.  The last two
+# if the least order of the general tie rule is taken instead.  The last two
 # pairs have four and five dependents: T12_7555 in AG(7,2) and a 14-cap
 # of AG(8,2) (the first of classify(8, 14)'s 14-point row), each against
 # its image under random_invertible_affine(n, 1).  Their maps rest on
