@@ -16,9 +16,11 @@ supports up to a permutation of rows and columns: one class.  Canonical
 forms and the type census share one cached list of label-free keys,
 one per class (_basis_scan), and build supports only for the winning
 basis; the laws stated of every basis read the full enumeration
-(_every_basis).  The key has 2^r entries, and r is at most
-5 under the 14-point limit of canonical forms; ROADMAP item 7 (r up to
-10) must revisit its encoding.
+(_every_basis).  Every basis, the winning one included, gets its
+supports from _basis_of: one elimination over the basis and one solve
+per left-out point.  The key has 2^r entries, and r is at most 5 under
+the 14-point limit of canonical forms; ROADMAP item 7 (r up to 10) must
+revisit its encoding.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import combinations, permutations
-from operator import mul
 from typing import Sequence
 
 from .capset import Cap
@@ -129,14 +130,6 @@ class BasisDecomposition:
     points: PointSet
     basis: tuple[Point, ...]
     dependents: tuple[tuple[Point, int], ...]
-
-    @property
-    def n(self) -> int:
-        return self.points.n
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis) - 1
 
     def basis_masks(self) -> tuple[int, ...]:
         return tuple(p.mask for p in self.basis)
@@ -393,48 +386,10 @@ def _basis_of(masks: tuple[int, ...], complement: tuple[int, ...]) -> tuple[tupl
 def _every_basis(masks: tuple[int, ...], bc: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """(subset indices, dependent supports) for every basis subset, in
     ascending index order, uncached: for the checks that state a law of
-    each basis.
-
-    The dependent left out t-th (ascending index) holds a basis point
-    exactly when bit t of the point's coordinates, its dual value written
-    over the complement's values, is set: a point whose value is the
-    w-th of the complement's span is in the supports picked by w.  The
-    supports are built side by side in one integer, field t of width k
-    holding the t-th over point indices; dropping the complement's
-    indices then turns point indices into subset positions, bit i of a
-    support being subset position i.  Complements in ascending order are
-    bases in descending order."""
-    values, leaves = _complements(masks, bc, False)
-    if not leaves:
-        return ()
-    k, r = len(values), len(leaves[0][1])
-    if not r:
-        return ((tuple(range(k)), ()),)
-    at = [0] * (1 << r)
-    for i, v in enumerate(values):
-        at[v] |= 1 << i
-    # the fields picked by w, for the first half of the span, then the second
-    fields = [sum(1 << t * k for t in range(r) if w >> t & 1) for w in range(1 << r)]
-    low, high = fields[: 1 << r - 1], fields[1 << r - 1 :]
-    ones = fields[-1]
-    below = [((1 << c) - 1) * ones for c in range(k)]
-    above = [((1 << k - 1) - (1 << c)) * ones for c in range(k)]
-    shifts = [t * k for t in range(r)]
-    width = (1 << k - r) - 1
-    points = list(range(k))
-    out = []
-    parent = None
-    for span, complement in reversed(leaves):
-        if span is not parent:
-            parent, first = span, sum(map(mul, map(at.__getitem__, span), low))
-        packed = first + sum(map(mul, map(at.__getitem__, map(values[complement[-1]].__xor__, span)), high))
-        subset = points.copy()
-        # shifting the bits above c down one drops bit c
-        for c in reversed(complement):
-            packed = packed & below[c] | packed >> 1 & above[c]
-            del subset[c]
-        out.append((tuple(subset), tuple([packed >> s & width for s in shifts])))
-    return tuple(out)
+    each basis.  Each basis gets its supports from _basis_of, one
+    elimination over the basis and one solve per left-out point;
+    complements in ascending order are bases in descending order."""
+    return tuple(_basis_of(masks, complement) for _, complement in reversed(_complements(masks, bc, False)[1]))
 
 
 def _class_type(key: tuple[int, ...]) -> ExtendedType:

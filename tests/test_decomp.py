@@ -43,6 +43,7 @@ from capclass.gf2 import (
 from capclass.templates import FRAME_MASKS, LABELS, generating_basis, higherdim_pair, instantiate
 
 from oracles import class_key, class_scan_oracle, rank_oracle, scan_oracle
+from test_golden import EQUIV_GOLDEN
 
 FRAME_POINTS = tuple(Point(m, 7) for m in FRAME_MASKS)
 
@@ -63,7 +64,12 @@ class TestDecompose:
     def test_independent_set_has_no_dependents(self):
         dec = decompose(Cap(PointSet(7, FRAME_MASKS)))
         assert dec.dependents == ()
-        assert dec.dim == 7
+        assert len(dec.basis) - 1 == 7
+
+    @pytest.mark.parametrize("name", ("n", "dim"))
+    def test_point_count_and_dimension_properties_are_gone(self, name):
+        # dec.points.n and len(dec.basis) - 1 replace them
+        assert not hasattr(decomp.BasisDecomposition, name)
 
     def test_explicit_basis_yields_table_supports(self):
         dec = decompose(instantiate("T10_55_3"), generating_basis("T10_55_3"))
@@ -347,10 +353,17 @@ class TestBasisScan:
         # four dependents
         assert_every_basis_matches_brute_force(template_image(label, seed))
 
-    @pytest.mark.parametrize("dim, max_size", ((6, 10), (8, 12)))
+    @pytest.mark.parametrize("dim, max_size", ((6, 10), (8, 12), (8, 13)))
     def test_classified_representatives_match_brute_force(self, dim, max_size):
+        # (8, 13) has r = 4 and 13-caps with points in series
         for cap in classified_representatives(dim, max_size):
             assert_every_basis_matches_brute_force(cap)
+
+    def test_golden_fourteen_point_pair_matches_brute_force(self):
+        # five dependents, r = 5: the largest r under the form limit
+        (n, a, b), = (pair for pair in EQUIV_GOLDEN if len(pair[1]) == 14)
+        for masks in (a, b):
+            assert_every_basis_matches_brute_force(Cap(PointSet(n, masks)))
 
     @pytest.mark.parametrize("label", LABELS)
     def test_templates_keep_the_first_basis_per_class(self, label):
