@@ -22,6 +22,7 @@ from typing import Callable, Iterable, Mapping
 from .capset import Cap, _is_cap_exhaustive, extension_candidates, is_complete, quad_closure_1
 from .decomp import (
     _DESK_LIMIT,
+    BasisDecomposition,
     ExtendedType,
     _every_basis,
     _raw_type,
@@ -432,9 +433,10 @@ def check_exchange_contract(table7: ClassTable, trials: int = DEFAULT_EXCHANGE_T
             cap, masks = entry.cap, entry.cap.sorted_masks()
             points = tuple(Point(m, cap.n) for m in masks)
             moves = []
-            for subset, _ in _every_basis(masks, cap.dim + 1):
-                dec = decompose(cap, [points[i] for i in subset])
-                sups = dec.support_masks()
+            for subset, sups in _every_basis(masks, cap.dim + 1):
+                # the supports are those of the points outside the subset, ascending
+                outside = [p for i, p in enumerate(points) if i not in subset]
+                dec = BasisDecomposition(cap.points, tuple(points[i] for i in subset), tuple(zip(outside, sups)))
                 # a basis point may go to a dependent holding it when at most
                 # one other dependent holds it too
                 holders = [sum(s >> pos & 1 for s in sups) for pos in range(len(subset))]

@@ -18,15 +18,16 @@ one per class (_basis_scan), and build supports only for the winning
 basis; the laws stated of every basis read the full enumeration
 (_every_basis).  Every basis, the winning one included, gets its
 supports from _basis_of: one elimination over the basis and one solve
-per left-out point.  The key has 2^r entries, and r is at most 5 under
-the 14-point limit of canonical forms; ROADMAP item 7 (r up to 10) must
-revisit its encoding.
+per left-out point.  The exchange claim builds its decompositions from
+those supports, so decompose runs only on bases a caller names.  The
+key has 2^r entries, and r is at most 5 under the 14-point limit of
+canonical forms; ROADMAP item 7 (r up to 10) must revisit its encoding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Sequence
 
@@ -307,31 +308,20 @@ def _key_supports(key: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...
     return _transpose(sigs, r), sigs
 
 
-@cache
-def _row_reading(order: tuple[int, ...]) -> tuple[int, ...]:
-    """For each w < 2^r, the entry of a class key that the key with its
-    rows (dependents) taken in ``order`` reads at w: bit t of w stands
-    for row order[t].  One table per permutation other than the
-    identity, so fewer than the sum of r! over 1 <= r <= 5, 153, under
-    the 14-point limit of canonical forms."""
-    at = [0]
-    for t in order:
-        at += [w | 1 << t for w in at]
-    return tuple(at)
-
-
 def _row_sorted_key(key: tuple[int, ...], sups: tuple[int, ...]) -> tuple[int, ...]:
     """The key of the same class with its rows re-read in the order of
     (support size, sorted intersection sizes with the other supports),
     ties kept in the key's own order; ``sups`` are _key_supports(key)'s.
-    Row orders of one structure that sort alike meet one key."""
+    Row orders of one structure that sort alike meet one key.  Bit t of
+    an index of the new key stands for row order[t]."""
     order = sorted(
         range(len(sups)),
         key=lambda t: (sups[t].bit_count(), sorted((sups[t] & s).bit_count() for u, s in enumerate(sups) if u != t)),
     )
-    if order == list(range(len(sups))):
-        return key
-    return tuple(map(key.__getitem__, _row_reading(tuple(order))))
+    at = [0]
+    for t in order:
+        at += [w | 1 << t for w in at]
+    return tuple(map(key.__getitem__, at))
 
 
 @lru_cache(maxsize=1)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from .capset import Cap
 from .decomp import _basis_of, _basis_scan, _cache_put, _key_supports, _row_sorted_key
 from .errors import DimensionMismatchError, InvariantError, TooLargeError
-from .gf2 import AffineMap, XorBasis, _columns_of, _transpose
+from .gf2 import AffineMap, _affine_elimination, _columns_of, _transpose
 
 _SIZE_LIMIT = 14
 
@@ -218,26 +218,23 @@ def are_equivalent(c1: Cap, c2: Cap) -> bool:
 
 def _map_from_bases(basis1: tuple[int, ...], basis2: tuple[int, ...], n: int) -> AffineMap:
     """Invertible map sending basis1[i] to basis2[i], extended linearly."""
-    t1, t2 = basis1[0], basis2[0]
-    dst = [m ^ t2 for m in basis2[1:]]
-    # eliminate the source differences under marker bit i, so that solve
-    # names the source vectors summing to a vector; a dependent one is singular
-    src = XorBasis()
-    for i, m in enumerate(basis1[1:]):
-        if not src.insert(m ^ t1, 1 << i):
-            raise InvariantError("completed source basis is singular")
+    # marker bit i stands for point i, so src.solve names the source
+    # differences summing to a vector; dst[i] is the image of bit i
+    src, dependent = _affine_elimination(basis1)
+    if dependent:
+        raise InvariantError("source basis is affinely dependent")
+    xb, dependent = _affine_elimination(basis2)
+    if dependent:
+        raise InvariantError("image basis is affinely dependent")
     # extend each side by the unit vectors that raise its rank, in index
     # order; the i-th completions pair up
-    size = len(basis1) - 1
+    t1, t2 = basis1[0], basis2[0]
+    dst = [m ^ t2 for m in basis2]
+    size = len(basis1)
     for j in range(n):
         if src.insert(1 << j, 1 << size):
             size += 1
-    xb = XorBasis()
-    for v in dst:
-        xb.insert(v)
     dst.extend(1 << j for j in range(n) if xb.insert(1 << j))
-    if len(dst) != n:
-        raise InvariantError("completed image basis is singular")
     # column j of the linear part is the image of e_j: the XOR of dst over
     # the source vectors that sum to e_j
     cols = []
@@ -246,10 +243,8 @@ def _map_from_bases(basis1: tuple[int, ...], basis2: tuple[int, ...], n: int) ->
         for i in _columns_of(src.solve(1 << j)):
             col ^= dst[i]
         cols.append(col)
-    shift = 0
-    for j in _columns_of(t1):
-        shift ^= cols[j]
-    return AffineMap(n, _transpose(cols, n), t2 ^ shift)
+    linear = AffineMap(n, _transpose(cols, n), 0)
+    return AffineMap(n, linear.rows, t2 ^ linear.apply_mask(t1))
 
 
 def find_isomorphism(c1: Cap, c2: Cap) -> AffineMap | None:

@@ -224,8 +224,9 @@ def _affine_elimination(masks: Sequence[int]) -> tuple[XorBasis, list[int]]:
     Returns the solver and the indices whose insert failed: the points
     that depend on the ones before them.  The others, with masks[0],
     form the greedy affine basis, and the solver's markers name subsets
-    of it.  Every affine question about a point set reaches here first,
-    so this is where the empty set is refused.
+    of it.  Every affine question about a point set, and each side of
+    equivalence._map_from_bases, reaches here first, so this is where
+    the empty set is refused.
     """
     if not masks:
         raise EmptyInputError("the empty set has no affine span")

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from capclass import classifier, templates
-from capclass.capset import is_cap
+from capclass.capset import Cap, is_cap
 from capclass.classifier import (
     _DIM7_CLASSES,
     ClaimResult,
@@ -29,7 +29,7 @@ from capclass.classifier import (
     verify_paper,
 )
 from capclass.cli import run_command
-from capclass.decomp import ExtendedType
+from capclass.decomp import BasisDecomposition, ExtendedType, decompose
 from capclass.equivalence import are_equivalent, canonical_form
 from capclass.errors import InvariantError, TooLargeError
 from capclass.gf2 import AffineMap, PointSet
@@ -354,6 +354,24 @@ class TestClaims:
         res = check_toy_oracle()
         assert not res.passed
         assert res.witness["mismatches"] == [f"dim {d} size {d + 1}: classify 1 vs oracle 2" for d in (1, 2, 3, 4)]
+
+    def test_exchange_pool_matches_decompose_on_every_basis(self, monkeypatch):
+        # the pool's decompositions come from _every_basis's supports; decompose
+        # re-derives each from its basis alone
+        table7 = classify(7, 13)
+        pool = []
+
+        def recorded(*fields):
+            pool.append(BasisDecomposition(*fields))
+            return pool[-1]
+
+        monkeypatch.setattr(classifier, "BasisDecomposition", recorded)
+        assert check_exchange_contract(table7, trials=0).passed
+        assert len(pool) == len({(dec.points, dec.basis) for dec in pool}) == 489
+        caps = {entry.cap.points for size in (9, 10, 11, 12) for entry in table7.entries(size)}
+        assert {dec.points for dec in pool} == caps
+        for dec in pool:
+            assert dec == decompose(Cap(dec.points), dec.basis)
 
     def test_exchange_claim_small(self):
         table7 = classify(7, 13)

@@ -1,13 +1,12 @@
 import random
 from functools import cache
 from itertools import combinations, permutations
-from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capclass import decomp, equivalence
+from capclass import equivalence
 from capclass.capset import Cap, extension_candidates
 from capclass.equivalence import (
     _class_masks,
@@ -637,12 +636,3 @@ class TestRowOrdersShareOneRefinement:
         classify(8, 13)
         assert len(set(equivalence._NORM_FORM_CACHE.values())) == 101
         assert len(runs) <= 137
-
-
-def test_row_readings_stay_bounded(monkeypatch):
-    # one reading per row permutation other than the identity, and r <= 5
-    # under the 14-point limit
-    monkeypatch.setattr(equivalence, "_NORM_FORM_CACHE", {})
-    decomp._row_reading.cache_clear()
-    classify(8, 14)
-    assert 0 < decomp._row_reading.cache_info().currsize <= sum(factorial(r) for r in range(1, 6)) == 153

@@ -33,15 +33,19 @@ GOLDEN = {
 # dependents over 9 or 10 columns.  These caps have non-trivial affine
 # groups, so the map printed depends on which minimising column order each
 # basis takes; all but the third pair change if the columns of one
-# signature class are taken in descending order.  The last pair is T10_55_3
-# in AG(7,2) and its image under random_invertible_affine(7, 1): two
-# dependents, so the closed-form order fixes the map, and the map changes
-# if the least order of the general tie rule is taken instead.  The last two
-# pairs have four and five dependents: T12_7555 in AG(7,2) and a 14-cap
-# of AG(8,2) (the first of classify(8, 14)'s 14-point row), each against
-# its image under random_invertible_affine(n, 1).  Their maps rest on
-# which basis wins among the bases reaching the form: both change if the
-# last basis in scan order to reach it is taken instead of the first.
+# signature class are taken in descending order.  The sixth pair is
+# T10_55_3 in AG(7,2) and its image under random_invertible_affine(7, 1):
+# two dependents, so the closed-form order fixes the map, and the map
+# changes if the least order of the general tie rule is taken instead.  The
+# seventh and eighth pairs have four and five dependents: T12_7555 in
+# AG(7,2) and a 14-cap of AG(8,2) (the first of classify(8, 14)'s 14-point
+# row), each against its image under random_invertible_affine(n, 1).  Their
+# maps rest on which basis wins among the bases reaching the form: both
+# change if the last basis in scan order to reach it is taken instead of
+# the first.  The last two pairs span less than their space: T10_55_3 in
+# AG(9,2) and T11_755_443 in AG(8,2), each against its image under
+# random_invertible_affine(n, 1), so each map completes both bases by unit
+# vectors before it solves.
 EQUIV_GOLDEN = {
     (
         8,
@@ -83,6 +87,16 @@ EQUIV_GOLDEN = {
         (0, 1, 2, 4, 8, 15, 16, 32, 51, 64, 85, 106, 128, 150),
         (41, 51, 82, 85, 114, 115, 123, 127, 159, 175, 188, 219, 226, 237),
     ): "08040c2261195c643d0d3b458b9eb182fcb283f15201b7099c12d00b8282d85e",
+    (
+        9,
+        (0, 1, 2, 4, 8, 15, 16, 32, 62, 64),
+        (64, 106, 110, 179, 188, 230, 231, 375, 399, 496),
+    ): "17cd725e390b59ba906fde777c171c65f3472b19ed186baaffbace773c248989",
+    (
+        8,
+        (0, 1, 2, 4, 8, 16, 32, 63, 64, 113, 124),
+        (41, 85, 114, 115, 123, 127, 140, 155, 175, 210, 226),
+    ): "6a85a9f6b2ab34158b9eb3bc59b512111b0625d1e68903c0b479e5572567f3dc",
 }
 
 
