@@ -43,7 +43,7 @@ from capclass.gf2 import (
 from capclass.templates import FRAME_MASKS, LABELS, generating_basis, higherdim_pair, instantiate
 
 from oracles import class_key, class_scan_oracle, rank_oracle, scan_oracle
-from test_golden import EQUIV_GOLDEN
+from test_golden import EQUIV
 
 FRAME_POINTS = tuple(Point(m, 7) for m in FRAME_MASKS)
 
@@ -361,9 +361,9 @@ class TestBasisScan:
 
     def test_golden_fourteen_point_pair_matches_brute_force(self):
         # five dependents, r = 5: the largest r under the form limit
-        (n, a, b), = (pair for pair in EQUIV_GOLDEN if len(pair[1]) == 14)
-        for masks in (a, b):
-            assert_every_basis_matches_brute_force(Cap(PointSet(n, masks)))
+        pin, = (pin for pin in EQUIV.values() if len(pin["a"]) == 14)
+        for side in ("a", "b"):
+            assert_every_basis_matches_brute_force(Cap(PointSet(pin["n"], pin[side])))
 
     @pytest.mark.parametrize("label", LABELS)
     def test_templates_keep_the_first_basis_per_class(self, label):

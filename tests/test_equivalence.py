@@ -589,7 +589,7 @@ def test_form_caches_stay_bounded(monkeypatch):
 @cache
 def row_order_caps():
     """The representatives of classify(7, 13) and classify(8, 13), and the
-    14-point cap of the r = 5 EQUIV_GOLDEN pair."""
+    14-point cap of the r = 5 equiv pin (dim8-14cap-0 in tests/pins.json)."""
     table = classify(7, 13)
     dim7 = [entry.cap for size in table.rows for entry in table.entries(size)]
     frame = (0,) + tuple(1 << i for i in range(8))
