@@ -45,11 +45,12 @@ from .gf2 import (
 from . import templates
 
 _MAX_CLASSIFY_DIM = 8
+# brute_force_class_counts enumerates up to this dimension; the toy-scale claim checks each one
+_MAX_BRUTE_FORCE_DIM = 4
 
 DEFAULT_INVARIANCE_TRIALS = 1000
 DEFAULT_EXCHANGE_TRIALS = 10000
 DEFAULT_EXCHANGE_SEED = 12345
-DEFAULT_TOY_DIMS = (1, 2, 3, 4)
 
 
 @dataclass(frozen=True)
@@ -163,10 +164,10 @@ def brute_force_class_counts(dim: int) -> dict[int, int]:
     Enumerates every cap through 0 spanning AG(dim,2) directly from the
     definition (pairwise XOR collisions) and groups them by orbit under
     the full affine group: translations, then the transvections that
-    generate GL(dim,2).  Only sensible for dim <= 4.
+    generate GL(dim,2).  Only sensible for dim <= ``_MAX_BRUTE_FORCE_DIM``.
     """
-    if dim > 4:
-        raise TooLargeError("brute-force classification is limited to dim <= 4")
+    if dim > _MAX_BRUTE_FORCE_DIM:
+        raise TooLargeError(f"brute-force classification is limited to dim <= {_MAX_BRUTE_FORCE_DIM}")
     if dim < 1:
         raise ValueError("dimension must be at least 1")
     space = 1 << dim
@@ -629,7 +630,7 @@ def check_toy_oracle() -> tuple[bool, dict]:
     """classify agrees with the exhaustive orbit oracle in toy dimensions."""
     mismatches = []
     witness: dict = {}
-    for dim in DEFAULT_TOY_DIMS:
+    for dim in range(1, _MAX_BRUTE_FORCE_DIM + 1):
         oracle = brute_force_class_counts(dim)
         table = classify(dim, _SIZE_LIMIT)
         cls = table.counts()

@@ -42,11 +42,9 @@ from .gf2 import (
     extract_basis,
 )
 
-# raw (sizes, pairs) -> canonical order; cleared whenever it reaches the limit
-_TYPE_CACHE: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+# class key (see _basis_scan) -> ExtendedType; cleared whenever it reaches the limit
+_TYPE_CACHE: dict[tuple[int, ...], ExtendedType] = {}
 _TYPE_CACHE_LIMIT = 100_000
-# class key (see _basis_scan) -> ExtendedType; cleared at the same limit
-_CLASS_TYPE_CACHE: dict[tuple[int, ...], ExtendedType] = {}
 
 
 def _cache_put(cache: dict, key: object, value: object, limit: int) -> None:
@@ -63,12 +61,8 @@ def _raw_type(sups: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def _canonical_type(sizes: tuple[int, ...], pairs: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Reorder dependents: sizes non-increasing, then pair sizes lex-minimal."""
-    key = (sizes, pairs)
-    hit = _TYPE_CACHE.get(key)
-    if hit is not None:
-        return hit
     pair_at = dict(zip(combinations(range(len(sizes)), 2), pairs))
-    best = min(
+    return min(
         (
             tuple(sizes[p] for p in perm),
             tuple(pair_at[(a, b) if a < b else (b, a)] for a, b in combinations(perm, 2)),
@@ -76,8 +70,6 @@ def _canonical_type(sizes: tuple[int, ...], pairs: tuple[int, ...]) -> tuple[tup
         for perm in permutations(range(len(sizes)))
         if all(sizes[a] >= sizes[b] for a, b in zip(perm, perm[1:]))
     )
-    _cache_put(_TYPE_CACHE, key, best, _TYPE_CACHE_LIMIT)
-    return best
 
 
 @dataclass(frozen=True, order=True)
@@ -384,10 +376,10 @@ def _every_basis(masks: tuple[int, ...], bc: int) -> tuple[tuple[tuple[int, ...]
 
 def _class_type(key: tuple[int, ...]) -> ExtendedType:
     """ExtendedType of the bases of a class, memoised on its key."""
-    hit = _CLASS_TYPE_CACHE.get(key)
+    hit = _TYPE_CACHE.get(key)
     if hit is None:
         hit = ExtendedType.from_supports(_key_supports(key)[0])
-        _cache_put(_CLASS_TYPE_CACHE, key, hit, _TYPE_CACHE_LIMIT)
+        _cache_put(_TYPE_CACHE, key, hit, _TYPE_CACHE_LIMIT)
     return hit
 
 

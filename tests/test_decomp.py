@@ -439,20 +439,16 @@ class TestTypeCensus:
 
         caps = [instantiate(label) for label in LABELS]
         caps += [Cap(apply_affine_map(random_invertible_affine(7, seed), cap.points)) for cap in caps for seed in (1, 2)]
-        # both memos on the census path: class keys, then raw types
-        caches = ("_CLASS_TYPE_CACHE", "_TYPE_CACHE")
-        for name in caches:
-            monkeypatch.setattr(decomp, name, {})
+        # the one memo on the census path: class key -> ExtendedType
+        monkeypatch.setattr(decomp, "_TYPE_CACHE", {})
         expected = [type_census(cap) for cap in caps]
         limit = 2
-        assert all(len(getattr(decomp, name)) > limit for name in caches)
+        assert len(decomp._TYPE_CACHE) > limit
         monkeypatch.setattr(decomp, "_TYPE_CACHE_LIMIT", limit)
-        for name in caches:
-            monkeypatch.setattr(decomp, name, {})
+        monkeypatch.setattr(decomp, "_TYPE_CACHE", {})
         for cap, want in zip(caps, expected):
             assert type_census(cap) == want
-            for name in caches:
-                assert len(getattr(decomp, name)) <= limit, name
+            assert len(decomp._TYPE_CACHE) <= limit
 
     @given(st.integers(0, 60))
     @settings(max_examples=25, deadline=None)
