@@ -44,7 +44,6 @@ from .gf2 import (
 )
 from . import templates
 
-_MAX_CLASSIFY_DIM = 8
 # brute_force_class_counts enumerates up to this dimension; the toy-scale claim checks each one
 _MAX_BRUTE_FORCE_DIM = 4
 
@@ -102,12 +101,11 @@ def classify(dim: int, max_size: int) -> ClassTable:
     an explicit empty row) or at max_size.  Output is deterministic: candidates are
     tried in ascending mask order and each row is sorted by canonical form.
     """
-    if dim > _MAX_CLASSIFY_DIM:
-        raise TooLargeError(f"classification supports dim <= {_MAX_CLASSIFY_DIM}")
     if dim < 1:
         raise ValueError("dimension must be at least 1")
-    if max_size > _SIZE_LIMIT:
-        raise TooLargeError(f"classification is desk-scale: max_size <= {_SIZE_LIMIT}")
+    # max_size must exceed dim, so the size limit bounds the dimension too
+    if max(dim + 1, max_size) > _SIZE_LIMIT:
+        raise TooLargeError(f"classification is desk-scale: dim < max_size <= {_SIZE_LIMIT}")
     if max_size <= dim:
         raise ValueError(f"max_size must exceed dim, got {max_size} <= {dim}")
 
@@ -132,8 +130,9 @@ def classify(dim: int, max_size: int) -> ClassTable:
 
 
 def max_cap_size(dim: int) -> int:
-    """Largest size of a cap in AG(dim,2) (desk-scale, dim <= 8); TooLargeError
-    when caps reach ``_SIZE_LIMIT`` points, where the classification is cut."""
+    """Largest size of a cap in AG(dim,2); TooLargeError when caps reach
+    ``_SIZE_LIMIT`` points, where the classification is cut, as they do in
+    every dimension above 8."""
     table = classify(dim, _SIZE_LIMIT)
     if table.entries(_SIZE_LIMIT):
         raise TooLargeError(f"caps of AG({dim},2) reach the size limit {_SIZE_LIMIT}; the maximum is at least that")

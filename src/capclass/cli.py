@@ -6,7 +6,7 @@ character is coordinate 1 (bit 0).  Rendered files list points in
 ascending integer order with LF endings; duplicate lines are rejected.
 
 Exit codes: 0 success, 1 claim failure or failed internal check, 2 usage
-error (an unknown label, a classify dimension outside 1..8 or size
+error (an unknown label, a classify dimension outside 1..13 or size
 outside dim+1..14, a negative trial count, an equiv of two caps of one
 size and affine dimension above the 14-point canonical-form limit, or a
 classify --out path that cannot be written),
@@ -27,7 +27,6 @@ from pathlib import Path
 
 from .capset import Cap, find_quad, is_complete, quad_closure_1
 from .classifier import (
-    _MAX_CLASSIFY_DIM,
     DEFAULT_EXCHANGE_TRIALS,
     DEFAULT_INVARIANCE_TRIALS,
     ClassTable,
@@ -223,8 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_equiv)
 
     p = sub.add_parser("classify", help="classify caps by size up to affine equivalence")
-    p.add_argument("dim", type=int, choices=range(1, _MAX_CLASSIFY_DIM + 1), metavar="dim",
-                   help=f"ambient dimension, 1..{_MAX_CLASSIFY_DIM}")
+    p.add_argument("dim", type=int, choices=range(1, _SIZE_LIMIT), metavar="dim",
+                   help=f"ambient dimension, 1..{_SIZE_LIMIT - 1}")
     p.add_argument("max_size", type=int, choices=range(1, _SIZE_LIMIT + 1), metavar="max_size",
                    help=f"largest cap size to classify, dim+1..{_SIZE_LIMIT}")
     p.add_argument("--out", help="directory for one cap file per representative")

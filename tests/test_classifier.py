@@ -114,9 +114,19 @@ class TestClassify:
                         subs.append(canonical_form(sub))
                 assert smaller_forms & set(subs)
 
+    def test_dim12_counts(self):
+        assert classify(12, 14).counts() == {13: 1, 14: 5}
+
+    def test_dim13_holds_only_its_frame(self):
+        table = classify(13, 14)
+        assert table.counts() == {14: 1}
+        (entry,) = table.entries(14)
+        assert entry.cap.sorted_masks() == (0,) + tuple(1 << i for i in range(13))
+        assert not entry.complete
+
     def test_dimension_guard(self):
         with pytest.raises(TooLargeError):
-            classify(9, 10)
+            classify(14, 15)
 
     @pytest.mark.parametrize("max_size", [0, -3, 3, 7])
     def test_size_guard(self, max_size):
@@ -184,9 +194,11 @@ class TestMaxCapSize:
         for subset in combinations(range(8), 5):
             assert has_quad(list(subset))
 
-    def test_overflow_guard(self):
-        with pytest.raises(TooLargeError):
-            max_cap_size(9)
+    # caps reach 14 points from dimension 9 on; from 14 on, classify refuses
+    @pytest.mark.parametrize("dim, message", [(9, "reach the size limit"), (13, "reach the size limit"), (14, "desk-scale")])
+    def test_overflow_guard(self, dim, message):
+        with pytest.raises(TooLargeError, match=message):
+            max_cap_size(dim)
 
     def test_a_cut_classification_gives_no_maximum(self, monkeypatch):
         # the largest caps of AG(4,2) have 6 points: a table cut at 6 only

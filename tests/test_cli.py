@@ -325,7 +325,12 @@ class TestClassifyCommand:
         _, second, _ = run(capsys, "classify", "3", "6")
         assert first == second
 
-    @pytest.mark.parametrize("dim, max_size", [("0", "13"), ("9", "13"), ("7", "15")])
+    def test_dimension_13_is_in_range(self, capsys):
+        code, out, _ = run(capsys, "classify", "13", "14")
+        assert code == 0
+        assert json.loads(out)["counts"] == {"14": 1}
+
+    @pytest.mark.parametrize("dim, max_size", [("0", "13"), ("14", "14"), ("14", "15"), ("7", "15")])
     def test_out_of_range_arguments_exit_2(self, capsys, dim, max_size):
         with pytest.raises(SystemExit) as exc:
             main(["classify", dim, max_size])

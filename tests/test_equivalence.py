@@ -23,7 +23,7 @@ from capclass.equivalence import (
 from capclass.errors import DimensionMismatchError, InvariantError, TooLargeError
 from capclass.gf2 import AffineMap, PointSet, _transpose, apply_affine_map, random_invertible_affine
 from capclass.classifier import classify
-from capclass.decomp import ExtendedType, _every_basis, type_census
+from capclass.decomp import ExtendedType, _every_basis, _raw_type, type_census
 from capclass.templates import LABELS, higherdim_pair, instantiate
 
 from oracles import (
@@ -496,20 +496,26 @@ class TestOneBasisPerClassMatchesEveryBasis:
     every basis the first basis reaching the least masks and the set of
     extended types are the same."""
 
-    def test_least_basis(self):
-        for cap in differential_caps():
+    @pytest.fixture(scope="class")
+    def every_basis(self):
+        """Each differential cap with its _every_basis, built once for both tests."""
+        return [(cap, _every_basis(cap.sorted_masks(), cap.dim + 1)) for cap in differential_caps()]
+
+    def test_least_basis(self, every_basis):
+        for cap, every in every_basis:
             bc = cap.dim + 1
             want = None
-            for subset, sups in _every_basis(cap.sorted_masks(), bc):
+            for subset, sups in every:
                 masks = least_masks(sups, bc)
                 if want is None or masks < want[0]:
                     want = (masks, subset, sups)
             assert _least_basis(cap) == want
 
-    def test_type_census(self):
-        for cap in differential_caps():
-            every = _every_basis(cap.sorted_masks(), cap.dim + 1)
-            assert type_census(cap) == frozenset(ExtendedType.from_supports(sups) for _, sups in every)
+    def test_type_census(self, every_basis):
+        # ExtendedType.from_supports(sups) is ExtendedType(*_raw_type(sups)): one per distinct raw type
+        for cap, every in every_basis:
+            raw = {_raw_type(sups) for _, sups in every}
+            assert type_census(cap) == frozenset(ExtendedType(*r) for r in raw)
 
 
 # The representatives of the 14-point row of classify(8, 14): five

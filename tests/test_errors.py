@@ -92,11 +92,12 @@ class TestDecomposeBasis:
 
 
 class TestExitCodes:
-    def test_classify_above_dimension_8_is_a_usage_error(self, capsys):
+    @pytest.mark.parametrize("max_size", [14, 15])
+    def test_classify_above_dimension_13_is_a_usage_error(self, capsys, max_size):
         with pytest.raises(TooLargeError):
-            classify(9, 13)
-        assert run_command(lambda: classify(9, 13)) == 2
-        assert capsys.readouterr().err == "error: classification supports dim <= 8\n"
+            classify(14, max_size)
+        assert run_command(lambda: classify(14, max_size)) == 2
+        assert capsys.readouterr().err == "error: classification is desk-scale: dim < max_size <= 14\n"
 
     def test_brute_force_above_dimension_4_is_a_usage_error(self, capsys):
         assert run_command(lambda: brute_force_class_counts(5)) == 2
