@@ -347,6 +347,26 @@ class TestClassifyCommand:
         assert "max_size must exceed dim" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("argv", (["x", "4"], ["3", "4.5"], ["3", "4", "5"], ["3", "4", "--out"]))
+    def test_malformed_arguments_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
+
+    def test_census_is_null_above_the_desk_limit(self, monkeypatch, capsys):
+        from capclass import classifier
+
+        monkeypatch.setattr(classifier, "_DESK_LIMIT", 5)
+        code, out, _ = run(capsys, "classify", "4", "6")
+        assert code == 0
+        sizes = json.loads(out)["sizes"]
+        assert sizes["5"] and all(isinstance(entry["census"], list) for entry in sizes["5"])
+        assert sizes["6"] and all(entry["census"] is None for entry in sizes["6"])
+
     def test_stdout_closed_by_reader_exits_141_quietly(self):
         proc = subprocess.Popen(
             [sys.executable, "-m", "capclass.cli", "classify", "6", "10"],
