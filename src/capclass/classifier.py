@@ -554,25 +554,26 @@ def check_lemma_suite(table7: ClassTable) -> tuple[bool, dict]:
 def check_invariance_fuzz(trials_per_template: int = DEFAULT_INVARIANCE_TRIALS) -> tuple[bool, dict]:
     """Canonical form, cap-ness, completeness, and census survive affine maps."""
     _require_trial_count("trials_per_template", trials_per_template)
-    maps = [random_invertible_affine(7, s) for s in range(trials_per_template)]
-    violations = []
+    bases = []
     for tid in templates.TEMPLATES:
         cap = templates.instantiate(tid.label)
-        base_form = canonical_form(cap)
-        base_complete = is_complete(cap)
-        base_census = type_census(cap)
-        for seed, t in enumerate(maps):
+        bases.append((tid.label, cap, canonical_form(cap), is_complete(cap), type_census(cap)))
+    violations = []
+    # one map alive at a time, however many trials are asked for
+    for seed in range(trials_per_template):
+        t = random_invertible_affine(7, seed)
+        for label, cap, base_form, base_complete, base_census in bases:
             try:
                 image = Cap(apply_affine_map(t, cap.points))
             except NotACapError:
-                violations.append(f"{tid.label} seed {seed}: image is not a cap")
+                violations.append(f"{label} seed {seed}: image is not a cap")
                 continue
             if canonical_form(image) != base_form:
-                violations.append(f"{tid.label} seed {seed}: canonical form changed")
+                violations.append(f"{label} seed {seed}: canonical form changed")
             if is_complete(image) != base_complete:
-                violations.append(f"{tid.label} seed {seed}: completeness changed")
+                violations.append(f"{label} seed {seed}: completeness changed")
             if type_census(image) != base_census:
-                violations.append(f"{tid.label} seed {seed}: census changed")
+                violations.append(f"{label} seed {seed}: census changed")
     return not violations, {
         "templates": len(templates.TEMPLATES),
         "maps_per_template": trials_per_template,

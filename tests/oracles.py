@@ -1,12 +1,20 @@
-"""Slow, independent re-implementations used as test oracles only."""
+"""Slow, independent re-implementations used as test oracles, and the seeded images they run on."""
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 
+from capclass.capset import Cap
 from capclass.errors import InvariantError
 from capclass.decomp import decompose
-from capclass.gf2 import AffineMap, Point, XorBasis
+from capclass.gf2 import AffineMap, Point, XorBasis, apply_affine_map, random_invertible_affine
+
+
+def image_cap(cap, seed):
+    """The image of cap under the seeded invertible affine map of its space;
+    its points come in a different order than cap's."""
+    return Cap(apply_affine_map(random_invertible_affine(cap.n, seed), cap.points))
 
 
 def odd_sum_closure(masks: set[int]) -> set[int]:
@@ -349,6 +357,24 @@ def normalize_columns_oracle(
                 m |= 1 << new_idx
         norm.append(m)
     return tuple(norm), old_of_new
+
+
+# The reference runs once per normalised structure (columns relabelled by
+# normalize_columns_oracle, rows sorted), and that is exact.  The least masks
+# ignore row order and column labels.  The search is symmetric in the rows:
+# its bound is sorted, and each branch is scored by a minimum over the rows
+# that hold it, so sorting them leaves its order unchanged.  Mapping that
+# order back through old_of_new is the tie rule _column_order keeps.
+
+form_oracle = cache(min_column_form_oracle)
+
+
+def reference_form(sups, ncols):
+    """min_column_form_oracle's masks and order for these supports, from one
+    cached search per normalised structure."""
+    norm, old_of_new = normalize_columns_oracle(sups, ncols)
+    masks, order = form_oracle(tuple(sorted(norm)), ncols)
+    return masks, tuple(old_of_new[k] for k in order)
 
 
 # The isomorphism builder as it stood when it completed both bases in

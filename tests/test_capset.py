@@ -17,7 +17,7 @@ from capclass.errors import EmptyInputError, NotACapError
 from capclass.gf2 import Point, PointSet, affine_span, apply_affine_map, random_invertible_affine
 from capclass.templates import LABELS, instantiate
 
-from oracles import has_quad
+from oracles import has_quad, image_cap
 
 FRAME7 = (0, 1, 2, 4, 8, 16, 32, 64)
 
@@ -171,7 +171,7 @@ class TestCompleteness:
     @pytest.mark.parametrize("label", LABELS)
     def test_closure_count_agrees_with_the_candidates_on_template_images(self, label):
         for seed in range(10):
-            cap = Cap(apply_affine_map(random_invertible_affine(7, seed), instantiate(label).points))
+            cap = image_cap(instantiate(label), seed)
             assert is_complete(cap) == (len(extension_candidates(cap)) == 0) == (cap.size == 12)
 
 

@@ -373,6 +373,15 @@ class TestClaims:
         assert not res.passed
         assert kinds <= {v.split(": ", 1)[1] for v in res.witness["violations"]}
 
+    def test_invariance_fuzz_builds_each_map_once_for_every_template(self, monkeypatch):
+        # one map alive at a time: each seed's map is built once, then serves all twelve templates
+        events, build, apply = [], classifier.random_invertible_affine, classifier.apply_affine_map
+        monkeypatch.setattr(classifier, "random_invertible_affine", lambda n, seed: events.append(seed) or build(n, seed))
+        monkeypatch.setattr(classifier, "apply_affine_map", lambda t, points: events.append(t) or apply(t, points))
+        assert check_invariance_fuzz(3).passed
+        assert len(templates.TEMPLATES) == 12
+        assert events == [e for seed in range(3) for e in [seed] + [build(7, seed)] * 12]
+
     def test_toy_oracle_claim_fails_on_a_count_mismatch(self, monkeypatch):
         original = classifier.brute_force_class_counts
         monkeypatch.setattr(classifier, "brute_force_class_counts", lambda dim: {**original(dim), dim + 1: 2})

@@ -36,13 +36,11 @@ from capclass.errors import (
 from capclass.gf2 import (
     Point,
     PointSet,
-    apply_affine_map,
     extract_basis,
-    random_invertible_affine,
 )
 from capclass.templates import FRAME_MASKS, LABELS, generating_basis, higherdim_pair, instantiate
 
-from oracles import class_key, class_scan_oracle, rank_oracle, scan_oracle
+from oracles import class_key, class_scan_oracle, image_cap, rank_oracle, scan_oracle
 from test_golden import EQUIV
 
 FRAME_POINTS = tuple(Point(m, 7) for m in FRAME_MASKS)
@@ -324,11 +322,6 @@ def assert_class_scan_matches_brute_force(cap):
         assert _basis_of(masks, complement) == first[key]
 
 
-def template_image(label, seed):
-    # the points come in a different order than the template's
-    return Cap(apply_affine_map(random_invertible_affine(7, seed), instantiate(label).points))
-
-
 def classified_representatives(dim, max_size):
     table = classify(dim, max_size)
     return [entry.cap for size in sorted(table.rows) for entry in table.entries(size)]
@@ -351,7 +344,7 @@ class TestBasisScan:
     @pytest.mark.parametrize("seed", (3, 17, 40))
     def test_template_images_match_brute_force(self, label, seed):
         # four dependents
-        assert_every_basis_matches_brute_force(template_image(label, seed))
+        assert_every_basis_matches_brute_force(image_cap(instantiate(label), seed))
 
     @pytest.mark.parametrize("dim, max_size", ((6, 10), (8, 12), (8, 13)))
     def test_classified_representatives_match_brute_force(self, dim, max_size):
@@ -376,7 +369,7 @@ class TestBasisScan:
     @pytest.mark.parametrize("label", LABELS)
     def test_template_images_keep_the_first_basis_per_class(self, label):
         for seed in (3, 17, 40):
-            assert_class_scan_matches_brute_force(template_image(label, seed))
+            assert_class_scan_matches_brute_force(image_cap(instantiate(label), seed))
 
     @pytest.mark.parametrize("dim, max_size", ((6, 10), (8, 12)))
     def test_classified_representatives_keep_the_first_basis_per_class(self, dim, max_size):
@@ -428,17 +421,15 @@ class TestTypeCensus:
             type_census(big)
 
     def test_census_reads_the_scan_its_canonical_form_made(self):
-        cap = template_image("T11_555_332", 7)
+        cap = image_cap(instantiate("T11_555_332"), 7)
         _basis_scan.cache_clear()
         canonical_form(cap)
         type_census(cap)
         assert _basis_scan.cache_info().misses == 1
 
     def test_type_cache_stays_bounded(self, monkeypatch):
-        from capclass.gf2 import apply_affine_map, random_invertible_affine
-
         caps = [instantiate(label) for label in LABELS]
-        caps += [Cap(apply_affine_map(random_invertible_affine(7, seed), cap.points)) for cap in caps for seed in (1, 2)]
+        caps += [image_cap(cap, seed) for cap in caps for seed in (1, 2)]
         # the one memo on the census path: class key -> ExtendedType
         monkeypatch.setattr(decomp, "_TYPE_CACHE", {})
         expected = [type_census(cap) for cap in caps]
@@ -453,8 +444,5 @@ class TestTypeCensus:
     @given(st.integers(0, 60))
     @settings(max_examples=25, deadline=None)
     def test_census_is_an_affine_invariant(self, seed):
-        from capclass.gf2 import apply_affine_map, random_invertible_affine
-
         cap = instantiate("T11_555_333")
-        t = random_invertible_affine(7, seed)
-        assert type_census(Cap(apply_affine_map(t, cap.points))) == type_census(cap)
+        assert type_census(image_cap(cap, seed)) == type_census(cap)

@@ -30,15 +30,18 @@ from oracles import (
     class_key,
     class_scan_oracle,
     equivalent_by_basis_images,
+    form_oracle,
+    image_cap,
     map_from_bases_oracle,
-    min_column_form_oracle,
     normalize_columns_oracle,
+    reference_form,
 )
 
 
-def image_cap(cap, seed):
-    t = random_invertible_affine(cap.n, seed)
-    return Cap(apply_affine_map(t, cap.points))
+@pytest.mark.parametrize("cap", (instantiate("T11_555_332"), higherdim_pair()[0]), ids=("dim7-template", "dim8-cap"))
+def test_image_cap_applies_the_seeded_map(cap):
+    for seed in (0, 1, 17):
+        assert image_cap(cap, seed).points == apply_affine_map(random_invertible_affine(cap.n, seed), cap.points)
 
 
 class TestCanonicalForm:
@@ -309,12 +312,16 @@ CLASSIFY_8_13_EXTRAS = (
 )
 
 
+def normalized(rows):
+    """The rows relabeled by normalize_columns_oracle, sorted, one per normalized key."""
+    return sorted({(tuple(sorted(normalize_columns_oracle(*row)[0])), row[1]) for row in rows})
+
+
 def dim8_normalized_basis_rows():
     """The basis rows of the classify(8, 13) representatives (ncols = 9),
     relabeled, one per normalized key."""
     frame = (0,) + tuple(1 << i for i in range(8))
-    rows = {(sups, 9) for extra in CLASSIFY_8_13_EXTRAS for _, sups in _every_basis(tuple(sorted(frame + extra)), 9)}
-    return sorted({(tuple(sorted(normalize_columns_oracle(*row)[0])), row[1]) for row in rows})
+    return normalized({(sups, 9) for extra in CLASSIFY_8_13_EXTRAS for _, sups in _every_basis(tuple(sorted(frame + extra)), 9)})
 
 
 @cache
@@ -332,9 +339,8 @@ def classified_basis_rows():
 
 
 def normalized_basis_rows():
-    """The classified basis rows, relabeled and kept one per normalized
-    key: the relabelling keeps the reference oracle fast."""
-    return sorted({(tuple(sorted(normalize_columns_oracle(*row)[0])), row[1]) for row in classified_basis_rows()})
+    """The classified basis rows, relabeled and kept one per normalized key."""
+    return normalized(classified_basis_rows())
 
 
 class TestFormKernelsMatchReference:
@@ -358,15 +364,9 @@ class TestFormKernelsMatchReference:
         # maps the order back; every optimal order has the same colour at
         # each position, so it picks the least order in the input labels.
         # Two supports take a closed form instead.
-        want_of: dict = {}
         for sups, ncols in inputs():
-            if len(sups) == 2:
-                continue
-            norm, old_of_new = normalize_columns_oracle(sups, ncols)
-            if (norm, ncols) not in want_of:
-                want_of[norm, ncols] = min_column_form_oracle(norm, ncols)[1]
-            want = tuple(old_of_new[k] for k in want_of[norm, ncols])
-            assert _column_order(sups, ncols) == want, (sups, ncols)
+            if len(sups) != 2:
+                assert _column_order(sups, ncols) == reference_form(sups, ncols)[1], (sups, ncols)
 
     @pytest.mark.parametrize(
         "inputs", (seeded_kernel_inputs, normalized_basis_rows, tie_heavy_inputs, dim8_normalized_basis_rows)
@@ -374,10 +374,16 @@ class TestFormKernelsMatchReference:
     def test_min_column_form(self, inputs):
         # only _column_order builds an order, and two supports take its closed form
         for sups, ncols in inputs():
-            masks, order = min_column_form_oracle(sups, ncols)
+            masks, order = form_oracle(sups, ncols)
             assert _min_column_form(sups, _transpose(sups, ncols))[0] == masks, (sups, ncols)
             if len(sups) != 2:
                 assert _column_order(sups, ncols) == order, (sups, ncols)
+
+    @pytest.mark.parametrize("inputs", (seeded_kernel_inputs, tie_heavy_inputs))
+    def test_reference_ignores_row_order_and_column_labels(self, inputs):
+        # the shared reference searches the normalised, row-sorted structure
+        for sups, ncols in inputs():
+            assert reference_form(sups, ncols) == form_oracle(sups, ncols), (sups, ncols)
 
     @pytest.mark.parametrize(
         "inputs", (seeded_kernel_inputs, classified_basis_rows, tie_heavy_inputs, dim8_normalized_basis_rows)
@@ -386,15 +392,7 @@ class TestFormKernelsMatchReference:
         # a cold memo, then hits; rows with two supports go through the
         # same memoised kernel as the rest
         monkeypatch.setattr(equivalence, "_NORM_FORM_CACHE", {})
-        # the least masks ignore column labels, so the reference runs on the
-        # normalised supports, where it is fast, once per normalised key
-        want_of: dict = {}
-        cases = []
-        for sups, ncols in inputs():
-            key = (tuple(sorted(normalize_columns_oracle(sups, ncols)[0])), ncols)
-            if key not in want_of:
-                want_of[key] = min_column_form_oracle(*key)[0]
-            cases.append(((sups, ncols), want_of[key]))
+        cases = [(row, reference_form(*row)[0]) for row in inputs()]
         for _ in range(2):
             for row, want in cases:
                 assert _class_masks(class_key(*row)) == want, row
@@ -571,9 +569,10 @@ class TestValueSearchMatchesClassScanOracle:
     # the type census stops at 13 points
     @pytest.mark.parametrize("group", CLASS_ORACLE_GROUPS[:3])
     def test_type_census(self, group):
+        # ExtendedType.from_supports(sups) is ExtendedType(*_raw_type(sups)): one per distinct raw type
         for cap in class_oracle_caps()[group]:
-            want = frozenset(ExtendedType.from_supports(sups) for _, sups in oracle_rows(cap))
-            assert type_census(cap) == want, cap.sorted_masks()
+            raw = {_raw_type(sups) for _, sups in oracle_rows(cap)}
+            assert type_census(cap) == frozenset(ExtendedType(*r) for r in raw), cap.sorted_masks()
 
 
 def test_form_caches_stay_bounded(monkeypatch):
@@ -611,7 +610,6 @@ class TestRowOrdersShareOneRefinement:
     @pytest.mark.parametrize("group", ("classify-7-13", "classify-8-13", "golden-14-cap"))
     def test_every_row_permutation_gets_the_reference_masks(self, group, monkeypatch):
         monkeypatch.setattr(equivalence, "_NORM_FORM_CACHE", {})
-        want_of: dict = {}
         for cap in row_order_caps()[group]:
             bc = cap.dim + 1
             # one basis per class key, from the brute-force scan
@@ -619,13 +617,10 @@ class TestRowOrdersShareOneRefinement:
             for _, sups in oracle_rows(cap):
                 sups_of.setdefault(class_key(sups, bc), sups)
             for sups in sups_of.values():
-                keys = [class_key(rows, bc) for rows in permutations(sups)]
-                # the reference runs once per structure: per least key over the row orders
-                structure = min(keys)
-                if structure not in want_of:
-                    want_of[structure] = min_column_form_oracle(sups, bc)[0]
-                for key in keys:
-                    assert _class_masks(key) == want_of[structure], (cap.sorted_masks(), key)
+                want = reference_form(sups, bc)[0]
+                for rows in permutations(sups):
+                    key = class_key(rows, bc)
+                    assert _class_masks(key) == want, (cap.sorted_masks(), key)
 
     def test_cold_classify_refines_once_per_sorted_structure(self, monkeypatch):
         # cold classify(8, 13) meets 899 class keys of 101 structures (least

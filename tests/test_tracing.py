@@ -13,9 +13,9 @@ from pathlib import Path
 
 import capclass.cli  # noqa: F401  the tracer patches every capclass module it finds loaded
 from capclass import classifier, decomp, equivalence
-from capclass.capset import Cap
-from capclass.gf2 import apply_affine_map, random_invertible_affine
 from capclass.templates import instantiate
+
+from oracles import image_cap
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -36,7 +36,7 @@ def test_traced_run_yields_every_benchmark_layer():
         # through the module attributes, which install() patched
         classifier.verify_paper(invariance_trials=2, exchange_trials=10)
         cap = instantiate("T11_555_332")
-        assert equivalence.find_isomorphism(cap, Cap(apply_affine_map(random_invertible_affine(7, 1), cap.points))) is not None
+        assert equivalence.find_isomorphism(cap, image_cap(cap, 1)) is not None
         harvest = tracer.harvest()
     finally:
         tracer.uninstall()
