@@ -182,16 +182,16 @@ def exchange_basis(dec: BasisDecomposition, a: Point, x: Point) -> BasisDecompos
     taking a's position, a gets B_x, the partner (B_partner ^ B_x) | bit(a),
     and every other dependent keeps its mask.
     """
-    basis_masks = dec.basis_masks()
+    # whole points are compared, so a mask from another dimension is no match
     try:
-        apos = basis_masks.index(a.mask)
+        apos = dec.basis.index(a)
     except ValueError:
         raise ExchangeHypothesisViolated("a is not a basis point") from None
     abit = 1 << apos
-    old = {p.mask: sup for p, sup in dec.dependents}
-    if x.mask not in old:
+    old = dict(dec.dependents)
+    if x not in old:
         raise ExchangeHypothesisViolated("x is not a dependent point")
-    bx = old[x.mask]
+    bx = old[x]
     if not bx & abit:
         raise ExchangeHypothesisViolated("a is not in the support of x")
     if sum(1 for sup in old.values() if sup & abit) > 2:
@@ -203,12 +203,12 @@ def exchange_basis(dec: BasisDecomposition, a: Point, x: Point) -> BasisDecompos
 
     # runtime check of the exchange theorem's closed-form predictions
     for p, sup in result.dependents:
-        if p.mask == a.mask:
+        if p == a:
             expected = bx
-        elif old[p.mask] & abit:
-            expected = (old[p.mask] ^ bx) | abit
+        elif old[p] & abit:
+            expected = (old[p] ^ bx) | abit
         else:
-            expected = old[p.mask]
+            expected = old[p]
         if sup != expected:
             raise InvariantError(f"exchange prediction failed for dependent {p.mask}")
     return result

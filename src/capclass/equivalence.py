@@ -26,7 +26,7 @@ in decomp._every_basis's order to reach the form, which is the class
 reaching it with the lexicographically greatest complement.  The
 refinement then runs once more on its supports, and _column_order
 returns the lexicographically least optimal order in the basis's own
-column labels; a basis with two supports takes a closed form instead.
+column labels.
 The key has 2^r entries, and r is at most 5 under _SIZE_LIMIT; ROADMAP
 item 7 (r up to 10) must revisit its encoding.
 """
@@ -137,14 +137,8 @@ def _column_order(sups: tuple[int, ...], ncols: int) -> tuple[int, ...]:
     masks; uncached, it runs once per ordered basis.  Ties go to the
     lexicographically least order in the basis's own column labels: over
     the final partitions, the least list of each cell's columns in
-    ascending order, then the columns carried by no support ascending.
-    Two supports take a closed form instead, which lists the
-    intersection, then each support's own columns, then the rest;
-    _ordered_basis checks either against the kernel's masks."""
-    if len(sups) == 2:
-        a, b = sorted(sups, key=lambda sup: (sup.bit_count(), sup))
-        rest = ~(a | b) & ((1 << ncols) - 1)
-        return tuple(_columns_of(a & b) + _columns_of(a & ~b) + _columns_of(b & ~a) + _columns_of(rest))
+    ascending order, then the columns carried by no support ascending;
+    _ordered_basis checks it against the kernel's masks."""
     member = _transpose(sups, ncols)
     order = min([c for cell in cells for c in _columns_of(cell)] for cells in _min_column_form(sups, member)[1])
     return tuple(order + [c for c, sig in enumerate(member) if not sig])

@@ -8,13 +8,28 @@ from itertools import combinations
 from capclass.capset import Cap
 from capclass.errors import InvariantError
 from capclass.decomp import decompose
-from capclass.gf2 import AffineMap, Point, XorBasis, apply_affine_map, random_invertible_affine
+from capclass.gf2 import AffineMap, Point, PointSet, XorBasis, apply_affine_map, random_invertible_affine
 
 
 def image_cap(cap, seed):
     """The image of cap under the seeded invertible affine map of its space;
     its points come in a different order than cap's."""
     return Cap(apply_affine_map(random_invertible_affine(cap.n, seed), cap.points))
+
+
+# The classify(8, 13) representatives, each the frame {0, e_1, ..., e_8}
+# of AG(8,2) plus these points.
+CLASSIFY_8_13_EXTRAS = (
+    (), (15,), (63,), (255,), (15, 51), (15, 113), (15, 240), (15, 243),
+    (15, 51, 85), (15, 51, 195), (15, 51, 197), (15, 51, 212), (15, 113, 182),
+    (15, 51, 85, 106), (15, 51, 85, 150), (15, 51, 85, 154), (15, 51, 85, 170), (15, 51, 85, 232),
+)
+
+
+def classify_8_13_caps():
+    """The classify(8, 13) representatives, built from CLASSIFY_8_13_EXTRAS without classifying."""
+    frame = (0,) + tuple(1 << i for i in range(8))
+    return [Cap(PointSet(8, frame + extra)) for extra in CLASSIFY_8_13_EXTRAS]
 
 
 def odd_sum_closure(masks: set[int]) -> set[int]:

@@ -40,7 +40,7 @@ from capclass.gf2 import (
 )
 from capclass.templates import FRAME_MASKS, LABELS, generating_basis, higherdim_pair, instantiate
 
-from oracles import class_key, class_scan_oracle, image_cap, rank_oracle, scan_oracle
+from oracles import class_key, class_scan_oracle, classify_8_13_caps, image_cap, rank_oracle, scan_oracle
 from test_golden import EQUIV
 
 FRAME_POINTS = tuple(Point(m, 7) for m in FRAME_MASKS)
@@ -258,6 +258,51 @@ class TestExchangeBasis:
         dec = decompose(instantiate("T10_55_2"), generating_basis("T10_55_2"))
         with pytest.raises(ExchangeHypothesisViolated):
             exchange_basis(dec, Point(0, 7), Point(64, 7))
+
+    @pytest.mark.parametrize(
+        "a, x, message",
+        [(Point(16, 8), Point(124, 7), "a is not a basis point"), (Point(16, 7), Point(124, 8), "x is not a dependent point")],
+        ids=["a", "x"],
+    )
+    def test_rejects_a_point_of_another_dimension(self, a, x, message):
+        # masks 16 and 124 are a5 and x2 of the n = 7 decomposition, an admissible move
+        dec = decompose(instantiate("T10_75_4"), generating_basis("T10_75_4"))
+        with pytest.raises(ExchangeHypothesisViolated, match=message):
+            exchange_basis(dec, a, x)
+
+    # the bases include the frame's own, which has no dependent and no move
+    @pytest.mark.parametrize("dim, bases, moves", [(7, 490, 4428), (8, 2590, 23256)])
+    def test_every_admissible_move_of_every_basis(self, dim, bases, moves):
+        # a move swaps basis position a with a dependent x whose support holds
+        # a, when a lies in at most two supports; each exchange checks its
+        # supports against the theorem's predictions
+        caps = classified_representatives(7, 13) if dim == 7 else classify_8_13_caps()
+        seen_bases = seen_moves = 0
+        for cap in caps:
+            masks = cap.sorted_masks()
+            points = [Point(m, cap.n) for m in masks]
+            for subset, sups in _every_basis(masks, cap.dim + 1):
+                dec = decompose(cap, [points[i] for i in subset])
+                assert dec.support_masks() == sups
+                seen_bases += 1
+                for i, sup in enumerate(sups):
+                    for pos in range(len(subset)):
+                        if sup >> pos & 1 and sum(s >> pos & 1 for s in sups) <= 2:
+                            exchange_basis(dec, dec.basis[pos], dec.dependents[i][0])
+                            seen_moves += 1
+        assert (seen_bases, seen_moves) == (bases, moves)
+
+    def test_wrong_partner_support_raises_in_dimension_8(self):
+        # the frame of AG(8,2) with 15, 51, 85 and 232: a3 (mask 2) lies in
+        # the supports of x = 15 and of its partner 51 alone
+        cap = classify_8_13_caps()[-1]
+        dec = decompose(cap, [Point(m, 8) for m in (0,) + tuple(1 << i for i in range(8))])
+        deps = list(dec.dependents)
+        assert [p.mask for p, _ in deps] == [15, 51, 85, 232]
+        deps[1] = (deps[1][0], deps[1][1] ^ 1 << 8)  # the partner's support wrongly gains a9
+        wrong = decomp.BasisDecomposition(dec.points, dec.basis, tuple(deps))
+        with pytest.raises(InvariantError, match="exchange prediction failed"):
+            exchange_basis(wrong, Point(2, 8), Point(15, 8))
 
     def test_wrong_support_raises_under_python_O(self):
         # python -O strips assert statements, so the closed-form check of the

@@ -29,6 +29,7 @@ from capclass.templates import LABELS, higherdim_pair, instantiate
 from oracles import (
     class_key,
     class_scan_oracle,
+    classify_8_13_caps,
     equivalent_by_basis_images,
     form_oracle,
     image_cap,
@@ -303,15 +304,6 @@ def tie_heavy_inputs():
     return cases
 
 
-# The classify(8, 13) representatives, each the frame {0, e_1, ..., e_8}
-# of AG(8,2) plus these points.
-CLASSIFY_8_13_EXTRAS = (
-    (), (15,), (63,), (255,), (15, 51), (15, 113), (15, 240), (15, 243),
-    (15, 51, 85), (15, 51, 195), (15, 51, 197), (15, 51, 212), (15, 113, 182),
-    (15, 51, 85, 106), (15, 51, 85, 150), (15, 51, 85, 154), (15, 51, 85, 170), (15, 51, 85, 232),
-)
-
-
 def normalized(rows):
     """The rows relabeled by normalize_columns_oracle, sorted, one per normalized key."""
     return sorted({(tuple(sorted(normalize_columns_oracle(*row)[0])), row[1]) for row in rows})
@@ -320,8 +312,7 @@ def normalized(rows):
 def dim8_normalized_basis_rows():
     """The basis rows of the classify(8, 13) representatives (ncols = 9),
     relabeled, one per normalized key."""
-    frame = (0,) + tuple(1 << i for i in range(8))
-    return normalized({(sups, 9) for extra in CLASSIFY_8_13_EXTRAS for _, sups in _every_basis(tuple(sorted(frame + extra)), 9)})
+    return normalized({(sups, 9) for cap in classify_8_13_caps() for _, sups in _every_basis(cap.sorted_masks(), 9)})
 
 
 @cache
@@ -353,6 +344,10 @@ class TestFormKernelsMatchReference:
                   for sups, ncols in cases]
         assert any(len(set(sigs)) < len(sigs) for sigs in member)
         assert any(0 in sigs for sigs in member)
+        # two distinct supports of one size, where the tie rule and an order
+        # by support size alone can pick different optimal orders
+        assert any(len(sups) == 2 and sups[0] != sups[1] and sups[0].bit_count() == sups[1].bit_count()
+                   for sups, _ in cases)
         assert {len(sups) for sups, _ in cases} == set(range(1, 7))
         assert {ncols for _, ncols in cases} == set(range(1, 12))
 
@@ -363,21 +358,18 @@ class TestFormKernelsMatchReference:
         # the reference rule relabels columns by refined colour, minimises and
         # maps the order back; every optimal order has the same colour at
         # each position, so it picks the least order in the input labels.
-        # Two supports take a closed form instead.
         for sups, ncols in inputs():
-            if len(sups) != 2:
-                assert _column_order(sups, ncols) == reference_form(sups, ncols)[1], (sups, ncols)
+            assert _column_order(sups, ncols) == reference_form(sups, ncols)[1], (sups, ncols)
 
     @pytest.mark.parametrize(
         "inputs", (seeded_kernel_inputs, normalized_basis_rows, tie_heavy_inputs, dim8_normalized_basis_rows)
     )
     def test_min_column_form(self, inputs):
-        # only _column_order builds an order, and two supports take its closed form
+        # only _column_order builds an order
         for sups, ncols in inputs():
             masks, order = form_oracle(sups, ncols)
             assert _min_column_form(sups, _transpose(sups, ncols))[0] == masks, (sups, ncols)
-            if len(sups) != 2:
-                assert _column_order(sups, ncols) == order, (sups, ncols)
+            assert _column_order(sups, ncols) == order, (sups, ncols)
 
     @pytest.mark.parametrize("inputs", (seeded_kernel_inputs, tie_heavy_inputs))
     def test_reference_ignores_row_order_and_column_labels(self, inputs):
@@ -441,7 +433,7 @@ class TestOnlyTheWinnerIsOrdered:
             return tuple(reversed(_column_order(sups, ncols)))
 
         monkeypatch.setattr(equivalence, "_column_order", reversed_order)
-        # three dependents take the least order, two the closed form
+        # one ordering rule for three dependents and for two
         for label in ("T11_555_332", "T10_55_3"):
             cap = instantiate(label)
             with pytest.raises(InvariantError, match="winning basis"):
@@ -597,9 +589,7 @@ def row_order_caps():
     14-point cap of the r = 5 equiv pin (dim8-14cap-0 in tests/pins.json)."""
     table = classify(7, 13)
     dim7 = [entry.cap for size in table.rows for entry in table.entries(size)]
-    frame = (0,) + tuple(1 << i for i in range(8))
-    dim8 = [Cap(PointSet(8, frame + extra)) for extra in CLASSIFY_8_13_EXTRAS]
-    return {"classify-7-13": dim7, "classify-8-13": dim8, "golden-14-cap": [Cap(PointSet(8, CLASSIFY_8_14_ROW[0]))]}
+    return {"classify-7-13": dim7, "classify-8-13": classify_8_13_caps(), "golden-14-cap": [Cap(PointSet(8, CLASSIFY_8_14_ROW[0]))]}
 
 
 class TestRowOrdersShareOneRefinement:
