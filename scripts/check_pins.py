@@ -49,9 +49,15 @@ def pin_argv(pin: dict, workdir: Path) -> list[str]:
     return ["equiv", *paths]
 
 
-def pin_failure(prefix: Sequence[str], pin: dict, workdir: Path, env: Mapping[str, str] | None = None) -> str | None:
-    """Why the pin fails when run after the command prefix, or None if its stdout digest matches."""
-    done = subprocess.run([*prefix, *pin_argv(pin, workdir)], env=env, capture_output=True)
+def run_pin(
+    prefix: Sequence[str], pin: dict, workdir: Path, env: Mapping[str, str] | None = None
+) -> subprocess.CompletedProcess[bytes]:
+    """The pin's completed run after the command prefix, with its stdout and stderr as bytes."""
+    return subprocess.run([*prefix, *pin_argv(pin, workdir)], env=env, capture_output=True)
+
+
+def pin_failure(pin: dict, done: subprocess.CompletedProcess[bytes]) -> str | None:
+    """Why a completed run of the pin fails it, or None if its stdout digest matches."""
     if done.returncode != 0:
         return f"exit {done.returncode}: {done.stderr.decode(errors='replace').strip()}"
     digest = hashlib.sha256(done.stdout).hexdigest()
@@ -66,7 +72,7 @@ def check_pins(prefix: Sequence[str] = ("capclass",), path: Path = PINS, env: Ma
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
         for pin in pins["commands"] + pins["equiv"]:
-            why = pin_failure(prefix, pin, Path(tmp), env)
+            why = pin_failure(pin, run_pin(prefix, pin, Path(tmp), env))
             print(f"FAIL {pin['name']}: {why}" if why else f"ok   {pin['name']}", flush=True)
             failed += why is not None
     return 1 if failed else 0

@@ -132,7 +132,7 @@ def classify(dim: int, max_size: int) -> ClassTable:
 def max_cap_size(dim: int) -> int:
     """Largest size of a cap in AG(dim,2); TooLargeError when caps reach
     ``_SIZE_LIMIT`` points, where the classification is cut, as they do in
-    every dimension above 8."""
+    every dimension from 8 on."""
     table = classify(dim, _SIZE_LIMIT)
     if table.entries(_SIZE_LIMIT):
         raise TooLargeError(f"caps of AG({dim},2) reach the size limit {_SIZE_LIMIT}; the maximum is at least that")

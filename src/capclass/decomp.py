@@ -6,22 +6,25 @@ of B, encoded here as a bitmask over basis positions (bit i = basis[i]).
 The multiset of support sizes together with all pairwise intersection
 sizes is the basis's extended type.
 
-The bases inside a point set are enumerated through their complements,
-which are the bases of the dual matroid.  Each point has a dual column,
-an r-bit value, and a complement is a cobasis exactly when its r values
-are independent, so one depth-first search over the values
-(_independent_sets) serves every reader.  Points with equal values are
-in series, and bases that leave out the same set of values share their
-supports up to a permutation of rows and columns: one class.  Canonical
-forms and the type census share one cached list of label-free keys,
-one per class (_basis_scan), and build supports only for the winning
-basis; the laws stated of every basis read the full enumeration
-(_every_basis).  Every basis, the winning one included, gets its
-supports from _basis_of: one elimination over the basis and one solve
-per left-out point.  The exchange claim builds its decompositions from
-those supports, so decompose runs only on bases a caller names.  The
-key has 2^r entries, and r is at most 5 under the 14-point limit of
-canonical forms; ROADMAP item 7 (r up to 10) must revisit its encoding.
+The bases inside a point set are read two ways.  The laws stated of
+every basis read _every_basis, which takes each subset of the right size
+and keeps it when one affine elimination over it finds it independent.
+Canonical forms and the type census read one basis per class, from a
+search over the dual matroid that serves this class scan only: each
+point has a dual column, an r-bit value, and the complement of a basis
+is a cobasis exactly when its r values are independent, so one
+depth-first search over the values (_independent_sets) finds them.
+Points with equal values are in series, and bases that leave out the
+same set of values share their supports up to a permutation of rows and
+columns: one class.  Canonical forms and the type census share one
+cached list of label-free keys, one per class (_basis_scan), and build
+supports only for the winning basis.  A named basis, the winning basis
+and each basis of _every_basis get their supports from _supports: one
+elimination over the basis and one solve per other point.  The exchange
+claim builds its decompositions from those supports, so decompose runs
+only on bases a caller names.  The key has 2^r entries, and r is at
+most 5 under the 14-point limit of canonical forms; ROADMAP item 7 (r up
+to 10) must revisit its encoding.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .capset import Cap
 from .errors import ExchangeHypothesisViolated, InvalidBasisError, InvariantError, TooLargeError
@@ -37,6 +40,7 @@ from .gf2 import (
     Point,
     PointSet,
     _affine_elimination,
+    _affine_rank,
     _solve_support,
     _transpose,
     extract_basis,
@@ -151,19 +155,12 @@ def decompose(source: Cap | PointSet, basis: Sequence[Point] | None = None) -> B
         if len({p.mask for p in chosen}) != len(chosen):
             raise InvalidBasisError("basis contains repeated points")
     basis_masks = [p.mask for p in chosen]
-    solver, dependent = _affine_elimination(basis_masks)
-    if dependent:
-        raise InvalidBasisError("basis is affinely dependent")
     in_basis = set(basis_masks)
-    deps: list[tuple[Point, int]] = []
-    for m in masks:
-        if m in in_basis:
-            continue
-        support = _solve_support(solver, basis_masks[0], m)
-        if support is None:
-            raise InvalidBasisError("basis does not span the set")
-        deps.append((Point(m, pts.n), support))
-    return BasisDecomposition(pts, chosen, tuple(deps))
+    others = [m for m in masks if m not in in_basis]
+    sups = _supports(basis_masks, others)
+    if sups is None:
+        raise InvalidBasisError("basis is affinely dependent")
+    return BasisDecomposition(pts, chosen, tuple((Point(m, pts.n), sup) for m, sup in zip(others, sups)))
 
 
 def extended_type(dec: BasisDecomposition) -> ExtendedType:
@@ -217,39 +214,46 @@ def exchange_basis(dec: BasisDecomposition, a: Point, x: Point) -> BasisDecompos
 _DESK_LIMIT = 13
 
 
-def _complements(
-    masks: tuple[int, ...], bc: int, one_per_class: bool
-) -> tuple[tuple[int, ...], list[tuple[list[int], tuple[int, ...]]]]:
-    """(dual value of each point, _independent_sets over them): the
-    complement of every bc-point basis with its span, none when there is
-    none.
+def _supports(basis: Sequence[int], others: Iterable[int]) -> tuple[int, ...] | None:
+    """Supports of ``others`` over the ordered affine basis ``basis``, bit i
+    for basis[i], from one elimination and one solve per point; None when
+    the basis is affinely dependent, InvalidBasisError for a point outside
+    its span.  A named basis (decompose), the winning basis of
+    equivalence._least_basis and each basis of _every_basis all get their
+    supports here."""
+    solver, dependent = _affine_elimination(basis)
+    if dependent:
+        return None
+    sups = tuple(_solve_support(solver, basis[0], m) for m in others)
+    if None in sups:
+        raise InvalidBasisError("basis does not span the set")
+    return sups
 
-    A bc-subset is a basis exactly when its complement is a basis of the
-    dual matroid, whose r rows are the dependents' supports over the
-    greedy basis plus the dependent itself (over GF(2), [I | A] has dual
-    [A^T | I]).  The rows come from one elimination against the first
-    point, marked by point index; point c's dual value is bit c of the
-    rows, an r-bit value, and points of value 0 are in every basis.  With
-    ``one_per_class`` only the last index of each value may leave the
-    basis (see _basis_scan).
-    """
-    k = len(masks)
-    if bc > k:
-        return (), []
-    # the points whose insert fails are the dependents of the greedy
-    # basis; each row is a dependent's support over it plus the point itself
-    xb, dependent = _affine_elimination(masks)
-    rows = [_solve_support(xb, masks[0], masks[i]) | 1 << i for i in dependent]
-    rank = k - len(rows)
-    if rank < bc:
-        return (), []
-    if rank > bc:
-        raise InvariantError(f"{bc} points cannot span a set of affine rank {rank - 1}")
-    values = _transpose(rows, k)
-    candidates = [c for c, v in enumerate(values) if v]
-    if one_per_class:
-        candidates = sorted({values[c]: c for c in candidates}.values())
-    return values, _independent_sets(values, candidates, len(rows))
+
+def _has_bases(dim: int, bc: int) -> bool:
+    """Whether a point set of affine dimension dim has bc-point bases: none
+    when bc exceeds dim + 1, and InvariantError when bc falls short of it."""
+    if bc < dim + 1:
+        raise InvariantError(f"{bc} points cannot span a set of affine rank {dim}")
+    return bc == dim + 1
+
+
+def _every_basis(masks: tuple[int, ...], bc: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(subset indices, supports of the other points) for every bc-subset
+    that one affine elimination over it (_supports) finds independent, in
+    ascending lexicographic order, uncached: the reference for the laws
+    stated of each basis, which reads bases by definition.  It shares no
+    code with the value search behind _basis_scan, which the tests check
+    against it.  Empty when bc exceeds the rank of the set; _has_bases
+    raises when bc falls short of it."""
+    if bc > len(masks) or not _has_bases(_affine_rank(masks), bc):
+        return ()
+    out = []
+    for subset in combinations(range(len(masks)), bc):
+        sups = _supports([masks[i] for i in subset], (m for i, m in enumerate(masks) if i not in subset))
+        if sups is not None:
+            out.append((subset, sups))
+    return tuple(out)
 
 
 def _independent_sets(
@@ -257,18 +261,16 @@ def _independent_sets(
 ) -> list[tuple[list[int], tuple[int, ...]]]:
     """(span, subset) for every r-subset of ``candidates`` (point indices,
     ascending) whose dual values are independent, in ascending
-    lexicographic order of the subsets.  These subsets are the
-    complements of the bases.  ``span[w]`` is the XOR of the values of
-    all but the subset's last point picked by the bits of w, one list
-    shared by the subsets that differ only in their last point; the
-    readers double it by the last value.  For r = 0 the one subset is
-    empty and its span [0].
+    lexicographic order of the subsets, for r >= 1: the value search,
+    which serves _basis_scan only.  These subsets are complements of
+    bases.  ``span[w]`` is the XOR of the values of all but the subset's
+    last point picked by the bits of w, one list shared by the subsets
+    that differ only in their last point; _basis_scan doubles it by the
+    last value.
 
     The search adds one point at a time and keeps the span of the values
     chosen so far, doubled on each step; a point whose value lies in the
     span would make the complement dependent."""
-    if not r:
-        return [([0], ())]
     out: list[tuple[list[int], tuple[int, ...]]] = []
 
     def extend(start: int, chosen: tuple[int, ...], span: list[int]) -> None:
@@ -322,56 +324,52 @@ def _basis_scan(masks: tuple[int, ...], bc: int) -> tuple[tuple[tuple[int, ...],
     point set, cached for the last point set only: canonical_form and
     type_census on one cap share it.
 
-    Points with equal nonzero dual values are in series (parallel in the
-    dual matroid; Oxley, *Matroid Theory*, 2.1), so a complement holds at
-    most one of them, and the complements holding one set of values form
-    a class whose bases share their supports up to a permutation of rows
-    and columns.  A class is an independent r-set of the distinct values,
-    its complement taken as the last index of each.  Its key,
+    A bc-subset is a basis exactly when its complement is a basis of the
+    dual matroid, whose r rows are the dependents' supports over the
+    greedy basis plus the dependent itself (over GF(2), [I | A] has dual
+    [A^T | I]).  Point c's dual value is bit c of the rows, an r-bit value,
+    and points of value 0 are in every basis.  Points with equal nonzero
+    values are in series (parallel in the dual matroid; Oxley, *Matroid
+    Theory*, 2.1), so a complement holds at most one of them, and the
+    complements holding one set of values form a class whose bases share
+    their supports up to a permutation of rows and columns.  A class is an
+    independent r-set of the distinct values (_independent_sets), its
+    complement taken as the last index of each.  Its key,
     ``count[span[w]]`` for w < 2^r with ``count[v]`` the number of points
     of value v, fixes its supports up to a column permutation
     (_key_supports), so it fixes the least masks and the ExtendedType;
     the key is free of point labels and has 2^r entries.  Complements
     come in ascending order, so each key keeps the greatest of its
     classes, which is the greatest complement of any basis with that key:
-    the key's first basis in _every_basis's order."""
-    values, leaves = _complements(masks, bc, True)
-    if not leaves:
+    the key's first basis in _every_basis's order.  This scan is the value
+    search's one reader; the tests check it against _every_basis."""
+    k = len(masks)
+    if bc > k:
         return ()
-    r = len(leaves[0][1])
+    # the points whose insert fails are the dependents of the greedy
+    # basis; each row is a dependent's support over it plus the point itself
+    xb, dependent = _affine_elimination(masks)
+    rows = [_solve_support(xb, masks[0], masks[i]) | 1 << i for i in dependent]
+    r = len(rows)
+    if not _has_bases(k - 1 - r, bc):
+        return ()
+    values = _transpose(rows, k)
     count = [0] * (1 << r)
     for v in values:
         count[v] += 1
     if not r:
         return (((count[0],), ()),)
+    # only the last index of each nonzero value may leave the basis
+    candidates = sorted({v: c for c, v in enumerate(values) if v}.values())
     # count[x ^ v] by x, for each value v: the key's second half when v is last
     shifted = {v: [count[x ^ v] for x in range(1 << r)] for v in set(values)}
     keys = {}
     parent = None
-    for span, complement in leaves:
+    for span, complement in _independent_sets(values, candidates, r):
         if span is not parent:
             parent, first = span, tuple(map(count.__getitem__, span))
         keys[first + tuple(map(shifted[values[complement[-1]]].__getitem__, span))] = complement
     return tuple(keys.items())
-
-
-def _basis_of(masks: tuple[int, ...], complement: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(subset indices, dependent supports) of the basis that leaves out
-    ``complement``: the supports of the left-out points over the rest,
-    from one elimination, as decompose finds them."""
-    subset = tuple(i for i in range(len(masks)) if i not in complement)
-    basis = [masks[i] for i in subset]
-    solver = _affine_elimination(basis)[0]
-    return subset, tuple(_solve_support(solver, basis[0], masks[c]) for c in complement)
-
-
-def _every_basis(masks: tuple[int, ...], bc: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """(subset indices, dependent supports) for every basis subset, in
-    ascending index order, uncached: for the checks that state a law of
-    each basis.  Each basis gets its supports from _basis_of, one
-    elimination over the basis and one solve per left-out point;
-    complements in ascending order are bases in descending order."""
-    return tuple(_basis_of(masks, complement) for _, complement in reversed(_complements(masks, bc, False)[1]))
 
 
 def _class_type(key: tuple[int, ...]) -> ExtendedType:

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .capset import Cap
-from .decomp import _basis_of, _basis_scan, _cache_put, _key_supports, _row_sorted_key
+from .decomp import _basis_scan, _cache_put, _key_supports, _row_sorted_key, _supports
 from .errors import DimensionMismatchError, InvariantError, TooLargeError
 from .gf2 import AffineMap, _affine_elimination, _columns_of, _transpose
 
@@ -179,7 +179,9 @@ def _least_basis(c: Cap) -> _Least:
             best = (masks, complement)
     if best is None:
         raise InvariantError(f"a {c.size}-point cap of dimension {c.dim} has no internal basis")
-    return (best[0], *_basis_of(points, best[1]))
+    masks, complement = best
+    subset = tuple(i for i in range(len(points)) if i not in complement)
+    return masks, subset, _supports([points[i] for i in subset], [points[i] for i in complement])
 
 
 def _ordered_basis(c: Cap, least: _Least) -> tuple[int, ...]:

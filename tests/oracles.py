@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 from capclass.capset import Cap
 from capclass.errors import InvariantError
@@ -390,6 +390,24 @@ def reference_form(sups, ncols):
     norm, old_of_new = normalize_columns_oracle(sups, ncols)
     masks, order = form_oracle(tuple(sorted(norm)), ncols)
     return masks, tuple(old_of_new[k] for k in order)
+
+
+@cache
+def _row_relabellings(r):
+    """Per order of r rows, the signature w < 2^r becomes with row order[t] as bit t."""
+    return [
+        [sum(1 << t for t, row in enumerate(order) if w >> row & 1) for w in range(1 << r)]
+        for order in permutations(range(r))
+    ]
+
+
+def structure_key(sups, ncols):
+    """A key of these supports free of row and column labels: over the r!
+    row orders, the least sorted tuple of column signatures (the rows
+    holding each column).  Supports with one key are equal up to a
+    permutation of rows and columns, so they share their least masks."""
+    member = _transpose(sups, ncols)
+    return min(tuple(sorted(map(table.__getitem__, member))) for table in _row_relabellings(len(sups)))
 
 
 # The isomorphism builder as it stood when it completed both bases in

@@ -194,8 +194,14 @@ class TestMaxCapSize:
         for subset in combinations(range(8), 5):
             assert has_quad(list(subset))
 
-    # caps reach 14 points from dimension 9 on; from 14 on, classify refuses
-    @pytest.mark.parametrize("dim, message", [(9, "reach the size limit"), (13, "reach the size limit"), (14, "desk-scale")])
+    def test_dim7_maximum_is_twelve(self):
+        # the largest dimension whose caps stay below the 14-point limit
+        assert max_cap_size(7) == 12
+
+    # caps reach 14 points from dimension 8 on; from 14 on, classify refuses
+    @pytest.mark.parametrize(
+        "dim, message", [(8, "reach the size limit"), (9, "reach the size limit"), (13, "reach the size limit"), (14, "desk-scale")]
+    )
     def test_overflow_guard(self, dim, message):
         with pytest.raises(TooLargeError, match=message):
             max_cap_size(dim)

@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -17,9 +18,9 @@ from capclass.classifier import classify
 from capclass.decomp import (
     ExtendedType,
     _basis_scan,
-    _basis_of,
     _canonical_type,
     _every_basis,
+    _supports,
     decompose,
     exchange_basis,
     extended_type,
@@ -363,8 +364,8 @@ def assert_class_scan_matches_brute_force(cap):
     every = tuple(range(len(masks)))
     want = {key: tuple(sorted(set(every) - set(subset))) for key, (subset, _) in first.items()}
     assert dict(_basis_scan(masks, bc)) == want
-    for key, complement in want.items():
-        assert _basis_of(masks, complement) == first[key]
+    for key, (subset, sups) in first.items():
+        assert _supports([masks[i] for i in subset], [masks[c] for c in want[key]]) == sups
 
 
 def classified_representatives(dim, max_size):
@@ -444,6 +445,20 @@ class TestBasisScan:
         for scan in (_basis_scan, _every_basis):
             with pytest.raises(InvariantError):
                 scan(cap.sorted_masks(), cap.dim)
+
+    def test_every_basis_shares_no_code_with_the_value_search(self):
+        # the every-basis reference, and each decomp function it reaches,
+        # names neither the value search nor the class scan it checks
+        tree = ast.parse(Path(decomp.__file__).read_text(encoding="utf-8"))
+        defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        reached, todo = set(), ["_every_basis", "_supports"]
+        while todo:
+            name = todo.pop()
+            if name not in reached:
+                reached.add(name)
+                todo += [node.id for node in ast.walk(defs[name]) if isinstance(node, ast.Name) and node.id in defs]
+        assert {"_has_bases", "_supports"} < reached
+        assert not reached & {"_independent_sets", "_basis_scan"}
 
 
 class TestTypeCensus:

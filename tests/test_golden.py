@@ -2,18 +2,17 @@
 
 Every pin lives in tests/pins.json: a command, or an ``equiv`` pair of caps
 given by their point masks, with the SHA-256 of its stdout (taken from a
-fresh ``capclass`` process) and why it is pinned.  These tests run each pin
-through ``python -m capclass.cli`` against src/; scripts/check_pins.py runs
-the same pins through the installed console script.  A change that alters
-any output byte, even with the same verdicts, fails here; update a digest
-only together with a stated schema or content change.
+fresh ``capclass`` process) and why it is pinned.  These tests read each
+pin's run through ``python -m capclass.cli`` against src/, made once per
+session (tests/conftest.py); scripts/check_pins.py runs the same pins
+through the installed console script.  A change that alters any output
+byte, even with the same verdicts, fails here; update a digest only
+together with a stated schema or content change.
 """
 
 import ast
 import json
-import os
 import re
-import sys
 from pathlib import Path
 
 import pytest
@@ -22,29 +21,28 @@ from capclass.classifier import classify
 from check_pins import PINS, check_pins, load_pins, pin_failure
 
 ROOT = Path(__file__).resolve().parents[1]
-PREFIX = (sys.executable, "-m", "capclass.cli")
-ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
 PINNED = load_pins()
 COMMANDS = {pin["name"]: pin for pin in PINNED["commands"]}
 EQUIV = {pin["name"]: pin for pin in PINNED["equiv"]}
 
 
 @pytest.mark.parametrize("name", COMMANDS)
-def test_stdout_digest_is_pinned(name, tmp_path):
-    assert pin_failure(PREFIX, COMMANDS[name], tmp_path, ENV) is None
+def test_stdout_digest_is_pinned(name, pin_run):
+    assert pin_failure(COMMANDS[name], pin_run(name)[0]) is None
 
 
 @pytest.mark.parametrize("name", EQUIV)
-def test_equiv_digest_is_pinned(name, tmp_path):
-    assert pin_failure(PREFIX, EQUIV[name], tmp_path, ENV) is None
+def test_equiv_digest_is_pinned(name, pin_run):
+    assert pin_failure(EQUIV[name], pin_run(name)[0]) is None
 
 
-def test_checker_names_an_altered_pin(tmp_path, capsys):
+def test_checker_names_an_altered_pin(tmp_path, capsys, source_cli):
     kept, altered = dict(EQUIV["dim7-10cap-0"]), dict(EQUIV["dim7-12cap-0"])
     altered["sha256"] = altered["sha256"][:-1] + ("0" if altered["sha256"][-1] != "0" else "1")
     pins = tmp_path / "pins.json"
     pins.write_text(json.dumps({"commands": [], "equiv": [kept, altered]}), encoding="utf-8")
-    assert check_pins(PREFIX, pins, ENV) == 1
+    prefix, env = source_cli
+    assert check_pins(prefix, pins, env) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "ok   dim7-10cap-0"
     assert lines[1].startswith(f"FAIL dim7-12cap-0: stdout sha256 {EQUIV['dim7-12cap-0']['sha256']}, pinned ")
