@@ -13,7 +13,7 @@ Canonical forms and the type census read one basis per class, from a
 search over the dual matroid that serves this class scan only: each
 point has a dual column, an r-bit value, and the complement of a basis
 is a cobasis exactly when its r values are independent, so one
-depth-first search over the values (_independent_sets) finds them.
+depth-first search over the values, inside _basis_scan, finds them.
 Points with equal values are in series, and bases that leave out the
 same set of values share their supports up to a permutation of rows and
 columns: one class.  Canonical forms and the type census share one
@@ -256,39 +256,6 @@ def _every_basis(masks: tuple[int, ...], bc: int) -> tuple[tuple[tuple[int, ...]
     return tuple(out)
 
 
-def _independent_sets(
-    values: tuple[int, ...], candidates: Sequence[int], r: int
-) -> list[tuple[list[int], tuple[int, ...]]]:
-    """(span, subset) for every r-subset of ``candidates`` (point indices,
-    ascending) whose dual values are independent, in ascending
-    lexicographic order of the subsets, for r >= 1: the value search,
-    which serves _basis_scan only.  These subsets are complements of
-    bases.  ``span[w]`` is the XOR of the values of all but the subset's
-    last point picked by the bits of w, one list shared by the subsets
-    that differ only in their last point; _basis_scan doubles it by the
-    last value.
-
-    The search adds one point at a time and keeps the span of the values
-    chosen so far, doubled on each step; a point whose value lies in the
-    span would make the complement dependent."""
-    out: list[tuple[list[int], tuple[int, ...]]] = []
-
-    def extend(start: int, chosen: tuple[int, ...], span: list[int]) -> None:
-        stop = len(candidates) - r + len(chosen) + 1
-        last = len(chosen) == r - 1
-        for pos in range(start, stop):
-            c = candidates[pos]
-            v = values[c]
-            if v not in span:
-                if last:
-                    out.append((span, chosen + (c,)))
-                else:
-                    extend(pos + 1, chosen + (c,), span + [x ^ v for x in span])
-
-    extend(0, (), [0])
-    return out
-
-
 def _key_supports(key: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Supports and column signatures of a basis of any class with this
     key, up to a permutation of columns.
@@ -333,16 +300,24 @@ def _basis_scan(masks: tuple[int, ...], bc: int) -> tuple[tuple[tuple[int, ...],
     Theory*, 2.1), so a complement holds at most one of them, and the
     complements holding one set of values form a class whose bases share
     their supports up to a permutation of rows and columns.  A class is an
-    independent r-set of the distinct values (_independent_sets), its
-    complement taken as the last index of each.  Its key,
-    ``count[span[w]]`` for w < 2^r with ``count[v]`` the number of points
-    of value v, fixes its supports up to a column permutation
-    (_key_supports), so it fixes the least masks and the ExtendedType;
-    the key is free of point labels and has 2^r entries.  Complements
-    come in ascending order, so each key keeps the greatest of its
+    independent r-set of the distinct values, its complement taken as the
+    last index of each.  Its key, ``count[span[w]]`` for w < 2^r with
+    ``count[v]`` the number of points of value v and ``span[w]`` the XOR
+    of the values picked by the bits of w, fixes its supports up to a
+    column permutation (_key_supports), so it fixes the least masks and
+    the ExtendedType; the key is free of point labels and has 2^r entries.
+
+    The value search runs depth-first on an explicit stack.  It adds one
+    point at a time and keeps the span of the values chosen so far,
+    doubled on each step; a point whose value lies in the span would make
+    the complement dependent.  At a parent, one point short of r, the
+    key's first half is read once, and each last point v that completes
+    the set writes its key, the second half read from count[x ^ v].
+    Children go on the stack in reverse, so complements come off in
+    ascending order and the last write per key keeps the greatest of its
     classes, which is the greatest complement of any basis with that key:
-    the key's first basis in _every_basis's order.  This scan is the value
-    search's one reader; the tests check it against _every_basis."""
+    the key's first basis in _every_basis's order.  The tests check this
+    scan against _every_basis."""
     k = len(masks)
     if bc > k:
         return ()
@@ -364,11 +339,21 @@ def _basis_scan(masks: tuple[int, ...], bc: int) -> tuple[tuple[tuple[int, ...],
     # count[x ^ v] by x, for each value v: the key's second half when v is last
     shifted = {v: [count[x ^ v] for x in range(1 << r)] for v in set(values)}
     keys = {}
-    parent = None
-    for span, complement in _independent_sets(values, candidates, r):
-        if span is not parent:
-            parent, first = span, tuple(map(count.__getitem__, span))
-        keys[first + tuple(map(shifted[values[complement[-1]]].__getitem__, span))] = complement
+    stack = [(0, (), [0])]
+    while stack:
+        start, chosen, span = stack.pop()
+        stop = len(candidates) - r + len(chosen) + 1
+        if len(chosen) < r - 1:
+            for pos in reversed(range(start, stop)):
+                v = values[candidates[pos]]
+                if v not in span:
+                    stack.append((pos + 1, chosen + (candidates[pos],), span + [x ^ v for x in span]))
+        else:
+            first = tuple(map(count.__getitem__, span))
+            for c in candidates[start:stop]:
+                v = values[c]
+                if v not in span:
+                    keys[first + tuple(map(shifted[v].__getitem__, span))] = chosen + (c,)
     return tuple(keys.items())
 
 

@@ -1,4 +1,5 @@
 import ast
+import gc
 import os
 import random
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capclass import decomp
+from capclass import decomp, equivalence
 from capclass.capset import Cap
 from capclass.classifier import classify
 from capclass.decomp import (
@@ -417,10 +418,17 @@ class TestBasisScan:
         for seed in (3, 17, 40):
             assert_class_scan_matches_brute_force(image_cap(instantiate(label), seed))
 
-    @pytest.mark.parametrize("dim, max_size", ((6, 10), (8, 12)))
+    @pytest.mark.parametrize("dim, max_size", ((6, 10), (8, 12), (8, 13)))
     def test_classified_representatives_keep_the_first_basis_per_class(self, dim, max_size):
+        # (8, 13) has r = 4 and 13-caps with points in series
         for cap in classified_representatives(dim, max_size):
             assert_class_scan_matches_brute_force(cap)
+
+    def test_golden_fourteen_point_pair_keeps_the_first_basis_per_class(self):
+        # r = 5: the deepest search under the form limit
+        pin, = (pin for pin in EQUIV.values() if len(pin["a"]) == 14)
+        for side in ("a", "b"):
+            assert_class_scan_matches_brute_force(Cap(PointSet(pin["n"], pin[side])))
 
     def test_frame_is_its_only_basis(self):
         cap = Cap(PointSet(7, FRAME_MASKS))
@@ -446,9 +454,26 @@ class TestBasisScan:
             with pytest.raises(InvariantError):
                 scan(cap.sorted_masks(), cap.dim)
 
+    def test_cold_scan_leaves_no_cyclic_garbage(self, monkeypatch):
+        # the search holds no self-referring closure, so its leaves die with the scan
+        monkeypatch.setattr(decomp, "_TYPE_CACHE", {})
+        monkeypatch.setattr(equivalence, "_NORM_FORM_CACHE", {})
+        _basis_scan.cache_clear()
+        cap = instantiate("T12_7555")
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            canonical_form(cap)
+            type_census(cap)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_every_basis_shares_no_code_with_the_value_search(self):
         # the every-basis reference, and each decomp function it reaches,
-        # names neither the value search nor the class scan it checks
+        # never names the class scan it checks, which holds the value search
         tree = ast.parse(Path(decomp.__file__).read_text(encoding="utf-8"))
         defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
         reached, todo = set(), ["_every_basis", "_supports"]
@@ -458,7 +483,7 @@ class TestBasisScan:
                 reached.add(name)
                 todo += [node.id for node in ast.walk(defs[name]) if isinstance(node, ast.Name) and node.id in defs]
         assert {"_has_bases", "_supports"} < reached
-        assert not reached & {"_independent_sets", "_basis_scan"}
+        assert "_basis_scan" not in reached
 
 
 class TestTypeCensus:
