@@ -1,16 +1,16 @@
 """Time capclass commands end to end, cold and warm, and write BENCH_<short-sha>.json
 into the current directory.
 
-    python scripts/bench.py [--src DIR] [--runs N] [--command ARGS ...]
+    python scripts/bench.py [--src DIR] [--command ARGS ...]
 
 Each command is a capclass argument string.  The default set is
 ``verify-paper --json`` at its defaults and ``classify`` 7 13, 8 13 and
 8 14.  For each command the script records:
 
-- cold: N fresh processes of ``python -m capclass.cli ARGS``, each timed
+- cold: RUNS fresh processes of ``python -m capclass.cli ARGS``, each timed
   from outside, so interpreter start and import count;
 - warm: one fresh process that runs ``capclass.cli.main`` once to fill
-  its caches, then N more times, each call timed inside the process;
+  its caches, then RUNS more times, each call timed inside the process;
 - the median, minimum and maximum of each, the peak RSS of the cold
   processes and of the warm one, and the sha256 of stdout, which must be
   the same in every run.
@@ -39,6 +39,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = ("verify-paper --json", "classify 7 13", "classify 8 13", "classify 8 14")
+RUNS = 5  # cold processes and warm calls per command
 
 # run in the warm process: argv, then the number of timed calls
 WARM = """
@@ -80,21 +81,21 @@ def cold_run(argv: list[str], src: Path, env: dict) -> tuple[float, str, int]:
         return wall, hashlib.sha256(out.read()).hexdigest(), usage.ru_maxrss
 
 
-def warm_run(argv: list[str], runs: int, src: Path, env: dict) -> dict:
-    """One fresh process that runs the command runs + 1 times: its timed calls, digests and peak RSS."""
-    cmd = [sys.executable, "-c", WARM, str(runs), *argv]
+def warm_run(argv: list[str], src: Path, env: dict) -> dict:
+    """One fresh process that runs the command RUNS + 1 times: its timed calls, digests and peak RSS."""
+    cmd = [sys.executable, "-c", WARM, str(RUNS), *argv]
     done = subprocess.run(cmd, cwd=src, env=env, capture_output=True, text=True)
     if done.returncode:
         raise RuntimeError(f"warm capclass {shlex.join(argv)} failed: {done.stderr.strip()}")
     return json.loads(done.stdout)
 
 
-def bench(command: str, runs: int, src: Path) -> dict:
+def bench(command: str, src: Path) -> dict:
     """Cold and warm timings of one capclass command run from src."""
     argv = shlex.split(command)
     env = dict(os.environ, PYTHONPATH=str(src / "src"))
-    cold = [cold_run(argv, src, env) for _ in range(runs)]
-    warm = warm_run(argv, runs, src, env)
+    cold = [cold_run(argv, src, env) for _ in range(RUNS)]
+    warm = warm_run(argv, src, env)
     digests = {digest for _, digest, _ in cold} | set(warm["digests"])
     if len(digests) != 1:
         raise RuntimeError(f"capclass {command} printed different bytes across runs")
@@ -137,16 +138,13 @@ def cpu_model() -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="Time capclass commands cold and warm; write BENCH_<short-sha>.json.")
     parser.add_argument("--src", type=Path, default=ROOT, help="the checkout to time (default: this one)")
-    parser.add_argument("--runs", type=int, default=5, help="cold processes and warm calls per command (default 5)")
     parser.add_argument("--command", action="append", help="a capclass argument string; repeat for more")
     args = parser.parse_args(argv)
-    if args.runs < 1:
-        parser.error("--runs must be at least 1")
     src = args.src.resolve()
     if not (src / "src" / "capclass" / "cli.py").is_file():
         parser.error(f"--src {src} holds no src/capclass/cli.py")
     try:
-        results = [bench(command, args.runs, src) for command in args.command or COMMANDS]
+        results = [bench(command, src) for command in args.command or COMMANDS]
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -158,7 +156,7 @@ def main(argv: list[str] | None = None) -> int:
         "python": platform.python_version(),
         "cpu": cpu_model(),
         "nproc": os.cpu_count(),
-        "runs": args.runs,
+        "runs": RUNS,
         "commands": results,
     }
     path = Path(f"BENCH_{sha}.json")
